@@ -37,9 +37,6 @@ class AggSummary:
     count: int = 0
     ext: float | int | None = None
 
-    def copy(self) -> "AggSummary":
-        return AggSummary(self.aggregate, self.count, self.ext)
-
 
 def _check_value(value: float | int) -> None:
     if value != value:  # NaN

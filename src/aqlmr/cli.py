@@ -118,13 +118,6 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_groups(result, geom, limit: int = 32) -> list[dict]:
-    return [
-        {"id": gid, "extent": str(group_extent(gid, geom)), "value": value}
-        for gid, value in enumerate(result.values[:limit] if limit else result.values)
-    ]
-
-
 def _write_report(path: str, doc: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
     print(f"report: {path}")

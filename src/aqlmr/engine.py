@@ -1,10 +1,11 @@
 """Embedded map/shuffle/reduce executor for planned jobs.
 
-The run is deterministic for any worker count: map outputs are gathered in
-split order, the shuffle sorts them stably by group id (so values inside a
-group keep split-then-emission order), and reducers fold groups
-independently. Worker threads only change wall time, never results or
-counters.
+A job runs as one serial pass: every split is mapped in split order, the
+shuffle sorts the map outputs stably by group id (so values inside a group
+keep split-then-emission order), and each group is reduced in group-id order.
+The ``workers`` count is still accepted and validated, so saved parameter
+files and scripts keep working, but it does not change execution: results and
+counters are the same for any value.
 
 Counters model the costs a distributed run would pay: cells read and emitted,
 bytes scanned, bytes moved through the shuffle (8 bytes of key plus the
@@ -15,11 +16,9 @@ extension slot), and records entering reducers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
-from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
-from threading import Lock
 from typing import Any, Sequence
 
 from .aggregates import AggregateError, Aggregator, AggregatorRegistry, default_registry
@@ -37,37 +36,22 @@ class EngineError(Exception):
     pass
 
 
-_COUNTER_FIELDS = (
-    "map_input_records",
-    "map_output_records",
-    "shuffle_groups",
-    "reduce_input_records",
-    "bytes_read",
-    "bytes_shuffled",
-)
-
-
+@dataclass(slots=True)
 class Counters:
-    """Thread-safe job counters."""
+    """Job counters, in the order reports print them."""
 
-    __slots__ = _COUNTER_FIELDS + ("_lock",)
-
-    def __init__(self) -> None:
-        for name in _COUNTER_FIELDS:
-            setattr(self, name, 0)
-        self._lock = Lock()
+    map_input_records: int = 0
+    map_output_records: int = 0
+    shuffle_groups: int = 0
+    reduce_input_records: int = 0
+    bytes_read: int = 0
+    bytes_shuffled: int = 0
 
     def add(self, name: str, n: int) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + n)
+        setattr(self, name, getattr(self, name) + n)
 
     def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {name: getattr(self, name) for name in _COUNTER_FIELDS}
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
-        return f"Counters({inner})"
+        return asdict(self)
 
 
 @dataclass
@@ -125,7 +109,7 @@ def shuffle(
     """Group map outputs by key.
 
     Inputs arrive ordered by split; the sort is stable, so each group's value
-    list is ordered by (split, emission order) regardless of worker count.
+    list is ordered by (split, emission order).
     """
     pairs: list[tuple[int, Any]] = []
     for part in map_outputs:
@@ -180,8 +164,15 @@ def run_job(
     spec = plan.splits
     if spec.data_path is None:
         raise EngineError(f"plan for {plan.query.array.name!r} has no data file")
+    schema = plan.query.array
+    size = spec.data_path.stat().st_size
+    if size != schema.nbytes:
+        raise EngineError(
+            f"{spec.data_path} holds {size} bytes where {schema.nbytes} are expected: "
+            "data file does not match metadata"
+        )
     try:
-        splits = compute_splits(plan.query.array, spec.box, spec.data_path)
+        splits = compute_splits(schema, spec.box, spec.data_path)
     except StoreError as exc:
         raise EngineError(str(exc)) from exc
 
@@ -190,21 +181,17 @@ def run_job(
     predicate = plan.query.predicate
     optimized = plan.mode == "optimized"
 
-    def map_task(split: ArraySplit) -> list[tuple[int, Any]]:
+    t0 = time.perf_counter()
+    map_outputs = []
+    for split in splits:
         try:
             if optimized:
-                return optimized_map(split, membership, agg, predicate, counters)
-            return naive_map(split, membership, predicate, counters)
+                out = optimized_map(split, membership, agg, predicate, counters)
+            else:
+                out = naive_map(split, membership, predicate, counters)
         except (AggregateError, StoreError) as exc:
             raise EngineError(f"map task (split {split.split_id}): {exc}") from exc
-
-    t0 = time.perf_counter()
-    if workers == 1 or len(splits) <= 1:
-        map_outputs = [map_task(s) for s in splits]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # executor.map preserves split order in its results
-            map_outputs = list(pool.map(map_task, splits))
+        map_outputs.append(out)
     t1 = time.perf_counter()
 
     value_bytes = summary_value_bytes(agg) if optimized else RAW_VALUE_BYTES
@@ -213,32 +200,21 @@ def run_job(
 
     reduce_fn = optimized_reduce if optimized else naive_reduce
     values: list[float | int | None] = [None] * plan.geometry.group_count
-
-    def reduce_task(item: tuple[int, list[Any]]) -> tuple[int, float | int | None]:
-        gid, group_values = item
-        counters.add("reduce_input_records", len(group_values))
-        try:
-            return gid, reduce_fn(gid, group_values, agg)
-        except AggregateError as exc:
-            raise EngineError(f"reduce (group {gid}): {exc}") from exc
-
-    if workers == 1 or len(grouped) <= 1:
-        reduced = [reduce_task(item) for item in grouped]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reduced = list(pool.map(reduce_task, grouped))
-    for gid, result in reduced:
+    for gid, group_values in grouped:
         if not 0 <= gid < len(values):
             raise EngineError(f"group id {gid} outside geometry (0..{len(values) - 1})")
-        values[gid] = result
+        counters.add("reduce_input_records", len(group_values))
+        try:
+            values[gid] = reduce_fn(gid, group_values, agg)
+        except AggregateError as exc:
+            raise EngineError(f"reduce (group {gid}): {exc}") from exc
     t3 = time.perf_counter()
 
-    snap = counters.snapshot()
-    if snap["reduce_input_records"] != snap["map_output_records"]:
+    if counters.reduce_input_records != counters.map_output_records:
         raise EngineError(
             "record conservation violated: map emitted "
-            f"{snap['map_output_records']} records but reducers received "
-            f"{snap['reduce_input_records']}"
+            f"{counters.map_output_records} records but reducers received "
+            f"{counters.reduce_input_records}"
         )
 
     return JobResult(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, prod
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .storage import BoundingBox
 
@@ -118,13 +118,6 @@ def make_geometry(kind: str, box: BoundingBox, params: ShapeParams) -> GroupGeom
 
 def geometry_for(query: "QueryObject") -> GroupGeometry:
     return make_geometry(query.kind, query.box, query.geometry)
-
-
-def _row_major_id(indices: tuple[int, ...], counts: tuple[int, ...]) -> int:
-    gid = 0
-    for i, n in zip(indices, counts):
-        gid = gid * n + i
-    return gid
 
 
 def _unravel(gid: int, counts: tuple[int, ...]) -> tuple[int, ...]:
@@ -270,7 +263,3 @@ def group_extent(gid: int, geom: GroupGeometry) -> BoundingBox | RingExtent:
     else:
         inner = params.radius0 + (gid - 1) * params.step
     return RingExtent(inner, outer)
-
-
-def iter_group_ids(geom: GroupGeometry) -> Iterator[int]:
-    return iter(range(geom.group_count))

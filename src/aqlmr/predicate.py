@@ -6,15 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_SCALAR_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-}
-
 _ARRAY_OPS = {
     "<": np.less,
     "<=": np.less_equal,
@@ -24,7 +15,7 @@ _ARRAY_OPS = {
     "<>": np.not_equal,
 }
 
-COMPARATORS = tuple(_SCALAR_OPS)
+COMPARATORS = tuple(_ARRAY_OPS)
 
 
 @dataclass(frozen=True)
@@ -34,11 +25,8 @@ class Comparison:
     constant: int | float
 
     def __post_init__(self) -> None:
-        if self.op not in _SCALAR_OPS:
+        if self.op not in _ARRAY_OPS:
             raise ValueError(f"unknown comparator {self.op!r}")
-
-    def matches(self, value) -> bool:
-        return _SCALAR_OPS[self.op](value, self.constant)
 
     def render(self) -> str:
         return f"{self.attribute} {self.op} {self.constant!r}"
@@ -53,9 +41,6 @@ class ValuePredicate:
     def __post_init__(self) -> None:
         if not self.conjuncts:
             raise ValueError("a value predicate needs at least one comparison")
-
-    def matches(self, value) -> bool:
-        return all(c.matches(value) for c in self.conjuncts)
 
     def mask(self, values: np.ndarray) -> np.ndarray:
         out = _ARRAY_OPS[self.conjuncts[0].op](values, self.conjuncts[0].constant)

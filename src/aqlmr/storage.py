@@ -99,12 +99,6 @@ class ArraySchema:
             tuple(d.start for d in self.dims), tuple(d.end for d in self.dims)
         )
 
-    def dim_index(self, name: str) -> int:
-        for i, d in enumerate(self.dims):
-            if d.name == name:
-                return i
-        raise KeyError(name)
-
     def strides(self) -> tuple[int, ...]:
         # row-major cell strides
         out = [1] * self.ndim

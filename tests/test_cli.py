@@ -134,6 +134,13 @@ class TestRun:
         assert rc == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_too_long_data_file_is_exit_4(self, data_dir, capsys):
+        path = data_dir / "A.bin"
+        path.write_bytes(path.read_bytes() + bytes(800))
+        rc = main(["run", "--query", GRID_Q, "--data-dir", str(data_dir)])
+        assert rc == 4
+        assert "does not match metadata" in capsys.readouterr().err
+
     def test_downgrade_warning_on_stderr(self, data_dir, capsys):
         rc = main(
             [

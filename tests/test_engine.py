@@ -311,6 +311,12 @@ class TestErrors:
         with pytest.raises(EngineError, match="does not match metadata"):
             run_query(built, "select avg(val) from A grid as (partition by x 2, y 2)")
 
+    def test_too_long_data_file(self, array_factory):
+        built = array_factory(extents=(4, 4), chunks=(2, 2))
+        built.data_path.write_bytes(built.data_path.read_bytes() + bytes(800))
+        with pytest.raises(EngineError, match="does not match metadata"):
+            run_query(built, "select avg(val) from A grid as (partition by x 2, y 2)")
+
     def test_bad_worker_count(self, array_factory):
         built = array_factory(extents=(4, 4), chunks=(2, 2))
         query = analyze(
@@ -319,6 +325,25 @@ class TestErrors:
         )
         with pytest.raises(EngineError, match="workers"):
             run_job(plan(query), workers=0)
+
+
+class TestSerialExecution:
+    def test_workers_start_no_thread(self, array_factory, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise AssertionError("run_job started a thread")
+
+        built = array_factory(extents=(8, 8), chunks=(2, 2), fill="uniform", seed=3)
+        text = (
+            "select avg(val) from A fixed window as (partition by "
+            "x 1 preceding and 1 following, y 1 preceding and 1 following)"
+        )
+        expected = run_query(built, text, workers=1)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        result = run_query(built, text, workers=4)
+        assert result.values == expected.values
+        assert result.counters == expected.counters
 
 
 class TestTimings:

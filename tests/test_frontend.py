@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,8 +240,7 @@ class TestSemantic:
             catalog,
         )
         assert q.predicate is not None
-        assert q.predicate.matches(5)
-        assert not q.predicate.matches(0)
+        assert q.predicate.mask(np.array([5.0, 0.0])).tolist() == [True, False]
 
     def test_unknown_array(self, catalog):
         with pytest.raises(SemanticError, match="unknown array"):
