@@ -8,7 +8,8 @@ and can be combined early, in the mapper; holistic ones (MEDIAN) need the full
 value list and only run in naive mode, via holistic_result.
 
 The summary keeps a running aggregate and a count; aggregators that need a
-second accumulator (STDDEV's sum of squares, custom ones) use the ext slot.
+second accumulator (STDDEV's sum of squared deviations, custom ones) use the
+ext slot.
 """
 
 from __future__ import annotations
@@ -169,30 +170,35 @@ class Max(Aggregator):
 
 
 class StdDev(Aggregator):
-    """Population standard deviation; ext carries the running sum of squares."""
+    """Population standard deviation, kept as (mean, count, M2) in the
+    aggregate, count and ext slots: Welford's update folds a value in, and
+    the pairwise formula of Chan, Golub and LeVeque merges two summaries.
+    Unlike a sum of squares, this keeps its precision at large offsets."""
 
     name = "stddev"
     uses_ext = True
 
     def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
         _check_value(value)
-        summary.aggregate += value
         summary.count += 1
-        summary.ext += value * value
+        delta = value - summary.aggregate
+        summary.aggregate += delta / summary.count
+        summary.ext += delta * (value - summary.aggregate)
         return summary
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        summary.aggregate += other.aggregate
-        summary.count += other.count
-        summary.ext += other.ext
+        n = summary.count + other.count
+        if n:
+            delta = other.aggregate - summary.aggregate
+            summary.aggregate += delta * (other.count / n)
+            summary.ext += other.ext + delta * delta * (summary.count * other.count / n)
+            summary.count = n
         return summary
 
     def get_agg_result(self, summary: AggSummary) -> float | int | None:
         if summary.count == 0:
             return None
-        mean = summary.aggregate / summary.count
-        # rounding can push the variance a hair below zero
-        return math.sqrt(max(summary.ext / summary.count - mean * mean, 0.0))
+        return math.sqrt(summary.ext / summary.count)
 
 
 class GeoMean(Aggregator):

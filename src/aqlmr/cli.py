@@ -6,8 +6,8 @@ Subcommands:
 * explain: parse and resolve a query, print what it will compute.
 * translate: compile a query to a parameter file for later runs.
 * run: execute a query or a parameter file, print results and counters.
-* bench: run a query in both modes across worker counts and report the
-  shuffle and map-output savings of the optimized plan.
+* bench: run a query once in each mode and report the shuffle and
+  map-output savings of the optimized plan.
 
 Exit codes: 0 success, 2 bad usage or parse error, 3 semantic or config
 error, 4 runtime failure (missing files, data errors, result divergence).
@@ -177,33 +177,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{agg.name} is holistic; a holistic aggregator cannot run optimized, "
             "so there is nothing to compare"
         )
+    # --workers selects nothing (the engine is serial); it is still checked
+    # so that existing scripts keep working and typos keep failing
     try:
         worker_counts = [int(w) for w in args.workers.split(",")]
+        if min(worker_counts) < 1:
+            raise ValueError
     except ValueError:
-        raise StoreError(f"bad --workers {args.workers!r} (want e.g. 1,2,4)") from None
+        raise StoreError(
+            f"bad --workers {args.workers!r} (want counts >= 1, e.g. 1,2,4)"
+        ) from None
 
     runs: dict[str, dict] = {}
     for mode in ("naive", "optimized"):
-        job = plan(query, mode)
-        times = {}
-        baseline = None
-        counters = None
-        for workers in worker_counts:
-            result = run_job(job, workers=workers)
-            times[str(workers)] = result.timings["total"]
-            print(
-                f"mode={mode} workers={workers}: "
-                f"total {result.timings['total']:.3f}s"
-            )
-            if baseline is None:
-                baseline = result.values
-                counters = result.counters.snapshot()
-            elif result.values != baseline:
-                raise EngineError(
-                    f"{mode} results changed between worker counts "
-                    f"{worker_counts[0]} and {workers}"
-                )
-        runs[mode] = {"values": baseline, "counters": counters, "times": times}
+        result = run_job(plan(query, mode))
+        print(f"mode={mode}: total {result.timings['total']:.3f}s")
+        runs[mode] = {
+            "values": result.values,
+            "counters": result.counters.snapshot(),
+            "time": result.timings["total"],
+        }
 
     naive_vals = runs["naive"]["values"]
     opt_vals = runs["optimized"]["values"]
@@ -230,7 +223,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "query": args.query,
             "workers": worker_counts,
             "modes": {
-                mode: {"counters": info["counters"], "times": info["times"]}
+                mode: {"counters": info["counters"], "time": info["time"]}
                 for mode, info in runs.items()
             },
             "ratios": ratios,
@@ -285,7 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare naive and optimized runs")
     p.add_argument("query")
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--workers", default="1", help="comma-separated counts, e.g. 1,2,4")
+    p.add_argument(
+        "--workers", default="1", help="comma-separated counts, e.g. 1,2,4 (checked, no effect)"
+    )
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=_cmd_bench)
 

@@ -139,18 +139,12 @@ def _ring_bucket(geom: GroupGeometry, coord: tuple[int, ...]) -> int | None:
     last = geom.group_count - 1
     if geom.kind == "hierarchical":
         d = max(abs(c - z) for c, z in zip(coord, centroid))
-        k = 0 if d <= r0 else -(-(d - r0) // s)
     else:
+        # smallest integer radius d with d*d >= the squared distance, so
+        # ring k holds (r0 + (k-1)*s)**2 < d2 <= (r0 + k*s)**2 exactly
         d2 = sum((c - z) ** 2 for c, z in zip(coord, centroid))
-        if d2 <= r0 * r0:
-            k = 0
-        else:
-            # float estimate, then exact integer adjustment
-            k = max(1, -(-(isqrt(d2) - r0) // s))
-            while k > 1 and d2 <= (r0 + (k - 1) * s) ** 2:
-                k -= 1
-            while d2 > (r0 + k * s) ** 2:
-                k += 1
+        d = isqrt(d2 - 1) + 1 if d2 else 0
+    k = 0 if d <= r0 else -(-(d - r0) // s)
     return k if k <= last else None
 
 
@@ -186,30 +180,14 @@ def build_membership(geom: GroupGeometry) -> Callable[[tuple[int, ...]], tuple[i
         foll = params.following
 
         def sliding_member(coord: tuple[int, ...]) -> tuple[int, ...]:
-            # per-dim range of center lattice indices whose window covers coord
-            k_ranges = []
+            # row-major ids over the per-dim ranges of center lattice indices
+            # whose window covers coord; an empty range leaves no ids
+            gids = [0]
             for c, l, p, f, n in zip(coord, lo, prec, foll, counts):
                 kmin = (max(0, c - f - l) + stride - 1) // stride
                 kmax = min((c + p - l) // stride, n - 1)
-                if kmin > kmax:
-                    return ()
-                k_ranges.append((kmin, kmax))
-            gids = []
-            idx = [k for k, _ in k_ranges]
-            while True:
-                gid = 0
-                for i, n in zip(idx, counts):
-                    gid = gid * n + i
-                gids.append(gid)
-                pos = len(idx) - 1
-                while pos >= 0:
-                    if idx[pos] < k_ranges[pos][1]:
-                        idx[pos] += 1
-                        break
-                    idx[pos] = k_ranges[pos][0]
-                    pos -= 1
-                else:
-                    return tuple(gids)
+                gids = [g * n + k for g in gids for k in range(kmin, kmax + 1)]
+            return tuple(gids)
 
         return sliding_member
 

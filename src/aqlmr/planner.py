@@ -21,7 +21,16 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .aggregates import AggregatorRegistry, default_registry
-from .frontend.semantic import QueryObject
+from .frontend.nodes import (
+    CircularClause,
+    GridClause,
+    HierarchicalClause,
+    QueryAst,
+    ShapeClause,
+    Source,
+    WindowClause,
+)
+from .frontend.semantic import QueryObject, SemanticError, analyze
 from .grouping import (
     GridParams,
     GroupGeometry,
@@ -29,7 +38,7 @@ from .grouping import (
     SlidingParams,
     make_geometry,
 )
-from .predicate import COMPARATORS, Comparison, ValuePredicate
+from .predicate import COMPARATORS, Comparison
 from .storage import ArraySchema, BoundingBox, Catalog, DimSpec
 
 TEMPLATES = {
@@ -285,8 +294,42 @@ def _parse_comparison(text: str) -> Comparison:
     if len(parts) != 3 or parts[1] not in COMPARATORS:
         raise ConfigError(f"bad where condition {text!r}")
     const_text = parts[2]
-    constant = int(const_text) if _INT_RE.match(const_text) else float(const_text)
+    try:
+        constant = int(const_text) if _INT_RE.match(const_text) else float(const_text)
+    except ValueError:
+        raise ConfigError(f"bad where condition {text!r}") from None
     return Comparison(parts[0], parts[1], constant)
+
+
+def _parse_where(pairs: dict[str, str]) -> tuple[Comparison, ...] | None:
+    keys = [k for k in pairs if k.startswith("where.")]
+    for key in keys:
+        if not key[len("where."):].isdecimal():
+            raise ConfigError(f"bad where key {key!r} (want where.<index>)")
+    keys.sort(key=lambda k: int(k[len("where."):]))
+    return tuple(_parse_comparison(pairs[k]) for k in keys) or None
+
+
+def _parse_window(pairs: dict[str, str], dim: str) -> tuple[str, int, int]:
+    text = _require(pairs, f"geometry.window.{dim}")
+    try:
+        preceding, following = (int(v) for v in text.split(":"))
+    except ValueError:
+        raise ConfigError(f"bad window spec {text!r} (want preceding:following)") from None
+    return dim, preceding, following
+
+
+def _shape_clause(pairs: dict[str, str], kind: str, schema: ArraySchema) -> ShapeClause:
+    names = [d.name for d in schema.dims]
+    if kind == "grid":
+        return GridClause(tuple((n, _int(pairs, f"geometry.partition.{n}")) for n in names))
+    if kind == "sliding":
+        windows = tuple(_parse_window(pairs, n) for n in names)
+        return WindowClause(windows, _int(pairs, "geometry.stride"))
+    rings = {"hierarchical": HierarchicalClause, "circular": CircularClause}
+    if kind not in rings:
+        raise ConfigError(f"unknown geometry kind {kind!r}")
+    return rings[kind](_int(pairs, "geometry.radius"), _int(pairs, "geometry.step"))
 
 
 def load_param_config(
@@ -294,19 +337,16 @@ def load_param_config(
     catalog: Catalog | None = None,
     registry: AggregatorRegistry | None = None,
 ) -> JobPlan:
-    """Read a parameter file back into a plan, validating as it goes.
+    """Read a parameter file back into a plan.
 
-    The file is self-contained; a catalog, when given, supplies the data path
-    and cross-checks the schema.
+    The file's keys are rebuilt into a query and checked by the same
+    ``analyze`` and ``plan`` that handle query text; only what the file
+    format adds (its key lines, the catalog cross-check, the fixed mode and
+    template, workers) is checked here. The file is self-contained; a
+    catalog, when given, supplies the data path and cross-checks the schema.
     """
     registry = registry or default_registry()
-    text = Path(path).read_text()
-    pairs = _parse_pairs(text)
-
-    agg_name = _require(pairs, "aggregator")
-    if not registry.has(agg_name):
-        raise ConfigError(f"unknown aggregate {agg_name!r}")
-    agg = registry.get(agg_name)
+    pairs = _parse_pairs(Path(path).read_text())
 
     try:
         schema = ArraySchema(
@@ -332,106 +372,48 @@ def load_param_config(
         if data_path is None:
             data_path = entry.data_path
 
-    lo = _parse_coords(pairs, "box.lo", schema.ndim)
-    hi = _parse_coords(pairs, "box.hi", schema.ndim)
+    box = _parse_coords(pairs, "box.lo", schema.ndim) + _parse_coords(
+        pairs, "box.hi", schema.ndim
+    )
+    ast = QueryAst(
+        aggregate_name=_require(pairs, "aggregator"),
+        aggregate_arg=schema.attribute,
+        source=Source(schema.name, box),
+        where=_parse_where(pairs),
+        shape=_shape_clause(pairs, _require(pairs, "geometry.kind"), schema),
+    )
+    file_catalog = Catalog()
+    file_catalog.register(schema, data_path)
     try:
-        box = BoundingBox(lo, hi)
-    except ValueError as exc:
+        query = analyze(ast, file_catalog, registry)
+    except SemanticError as exc:
         raise ConfigError(str(exc)) from exc
-    if box.intersect(schema.whole_box()) != box:
-        raise ConfigError(f"box {box} out of bounds for array {schema.name!r}")
-
-    kind = _require(pairs, "geometry.kind")
-    if kind == "grid":
-        sizes = []
-        for d in schema.dims:
-            size = _int(pairs, f"geometry.partition.{d.name}")
-            if size < 1:
-                raise ConfigError(f"partition size for {d.name!r} must be >= 1")
-            sizes.append(size)
-        params: GridParams | SlidingParams | RingParams = GridParams(tuple(sizes))
-    elif kind == "sliding":
-        prec, foll = [], []
-        for d in schema.dims:
-            text_pf = _require(pairs, f"geometry.window.{d.name}")
-            parts = text_pf.split(":")
-            if len(parts) != 2:
-                raise ConfigError(f"bad window spec {text_pf!r} (want preceding:following)")
-            try:
-                p, f = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError(f"bad window spec {text_pf!r}") from None
-            if p < 0 or f < 0:
-                raise ConfigError("window spans must be >= 0")
-            prec.append(p)
-            foll.append(f)
-        stride = _int(pairs, "geometry.stride")
-        if stride < 1:
-            raise ConfigError("stride must be >= 1")
-        params = SlidingParams(tuple(prec), tuple(foll), stride)
-    elif kind in ("hierarchical", "circular"):
-        radius = _int(pairs, "geometry.radius")
-        step = _int(pairs, "geometry.step")
+    if isinstance(query.geometry, RingParams):
         ring_mode = _require(pairs, "geometry.mode")
-        if radius < 0 or step < 1:
-            raise ConfigError("radius must be >= 0 and step >= 1")
-        if ring_mode not in ("nested", "disjoint"):
-            raise ConfigError(f"unknown ring mode {ring_mode!r}")
-        params = RingParams(radius, step, ring_mode)
-    else:
-        raise ConfigError(f"unknown geometry kind {kind!r}")
+        if ring_mode != query.geometry.mode:
+            raise ConfigError(
+                f"ring mode {ring_mode!r} does not match geometry {query.kind!r} "
+                f"(expected {query.geometry.mode!r})"
+            )
 
     mode = _require(pairs, "mode")
     if mode not in ("naive", "optimized"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "optimized" and not agg.algebraic:
+    if mode == "optimized" and not registry.get(query.aggregator).algebraic:
         raise ConfigError(
-            f"{agg.name} is holistic; a holistic aggregator cannot run optimized"
+            f"{query.aggregator} is holistic; a holistic aggregator cannot run optimized"
         )
-    template_id = _require(pairs, "template")
-    if template_id not in TEMPLATES:
-        raise ConfigError(f"unknown template {template_id!r}")
-    expected = f"{_FAMILY[kind]}_{'opt' if mode == 'optimized' else 'naive'}"
-    if template_id != expected:
-        raise ConfigError(
-            f"template {template_id!r} does not match geometry {kind!r} "
-            f"and mode {mode!r} (expected {expected!r})"
-        )
-
     workers = _int(pairs, "workers") if "workers" in pairs else 1
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    job = plan(query, mode, registry=registry, workers=workers)
 
-    where_keys = sorted(
-        (k for k in pairs if k.startswith("where.")),
-        key=lambda k: int(k.split(".", 1)[1]),
-    )
-    predicate = None
-    if where_keys:
-        predicate = ValuePredicate(
-            tuple(_parse_comparison(pairs[k]) for k in where_keys)
+    template_id = _require(pairs, "template")
+    if template_id not in TEMPLATES:
+        raise ConfigError(f"unknown template {template_id!r}")
+    if template_id != job.template_id:
+        raise ConfigError(
+            f"template {template_id!r} does not match geometry {query.kind!r} "
+            f"and mode {mode!r} (expected {job.template_id!r})"
         )
-        for cmp in predicate.conjuncts:
-            if cmp.attribute != schema.attribute:
-                raise ConfigError(
-                    f"where clause references {cmp.attribute!r} but array "
-                    f"{schema.name!r} stores attribute {schema.attribute!r}"
-                )
-
-    query = QueryObject(
-        aggregator=agg.name,
-        kind=kind,
-        array=schema,
-        box=box,
-        predicate=predicate,
-        geometry=params,
-        data_path=data_path,
-    )
-    return JobPlan(
-        template_id=template_id,
-        mode=mode,
-        query=query,
-        geometry=make_geometry(kind, box, params),
-        splits=SplitSpec(data_path, box, schema.chunk_shape),
-        workers=workers,
-    )
+    return job

@@ -37,20 +37,28 @@ class TestFoldAndResult:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_stddev_summary_states(self):
-        # ext carries the sum of squares: fold 3 into (3, 2, 5)
+        # (mean, count, M2): {1, 2} is (1.5, 2, 0.5); fold 3, then merge {4}
         agg = default_registry().get("stddev")
-        s = AggSummary(3, 2, 5)
+        s = AggSummary(1.5, 2, 0.5)
         agg.update_in_map(s, 3)
-        assert (s.aggregate, s.count, s.ext) == (6, 3, 14)
-        other = AggSummary(4, 1, 16)
+        assert (s.aggregate, s.count, s.ext) == (2.0, 3, 2.0)
+        other = AggSummary(4, 1, 0)
         agg.update_in_reduce(s, other)
-        assert (s.aggregate, s.count, s.ext) == (10, 4, 30)
+        assert (s.aggregate, s.count, s.ext) == (2.5, 4, 5.0)
         assert agg.get_agg_result(s) == pytest.approx(1.118033988749895)
+
+    def test_stddev_merge_with_empty_is_exact(self):
+        agg = default_registry().get("stddev")
+        s = agg.identity()
+        agg.update_in_reduce(s, AggSummary(0.1, 3, 0.7))
+        assert (s.aggregate, s.count, s.ext) == (0.1, 3, 0.7)
+        agg.update_in_reduce(s, agg.identity())
+        assert (s.aggregate, s.count, s.ext) == (0.1, 3, 0.7)
 
     def test_stddev_constant_values(self):
         agg = default_registry().get("stddev")
         result = agg.get_agg_result(fold(agg, [4.0] * 100))
-        assert result == 0.0  # clamped against tiny negative variance
+        assert result == 0.0  # every deviation from the mean is exactly 0
 
     def test_geomean_small_case(self):
         agg = default_registry().get("geomean")

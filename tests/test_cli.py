@@ -3,6 +3,7 @@ import json
 import pytest
 
 from aqlmr.cli import main
+from aqlmr.planner import emit_param_config, load_param_config
 
 
 @pytest.fixture
@@ -23,6 +24,63 @@ def data_dir(tmp_path):
 
 
 GRID_Q = "select avg(val) from A grid as (partition by x 8, y 8)"
+
+
+def _golden(specific: str, aggregator: str, box: str = "box.hi=15,15\nbox.lo=0,0") -> str:
+    return (
+        "# map/reduce job parameters\n"
+        f"aggregator={aggregator}\n"
+        "array=A\n"
+        "array.attribute=val\n"
+        "array.dims=x:0:15:4,y:0:15:4\n"
+        "array.element_type=float64\n"
+        "array.path={path}\n"
+        f"{box}\n"
+        f"{specific}"
+        "workers=1\n"
+    )
+
+
+# translate output for four queries, one per template family, as the
+# parameter-file format defines it; it must not drift
+TRANSLATE_GOLDEN = [
+    (
+        "select avg(val) from A grid as (partition by x 4, y 4)",
+        _golden(
+            "geometry.kind=grid\ngeometry.partition.x=4\ngeometry.partition.y=4\n"
+            "mode=optimized\ntemplate=grid_opt\n",
+            "avg",
+        ),
+    ),
+    (
+        "select sum(val) from between (A, 2, 2, 13, 13) where val > 10 fixed window as"
+        " (partition by x 1 preceding and 1 following, y 1 preceding and 1 following"
+        " stride 2)",
+        _golden(
+            "geometry.kind=sliding\ngeometry.stride=2\ngeometry.window.x=1:1\n"
+            "geometry.window.y=1:1\nmode=optimized\ntemplate=sliding_opt\n"
+            "where.0=val > 10\n",
+            "sum",
+            "box.hi=13,13\nbox.lo=2,2",
+        ),
+    ),
+    (
+        "select stddev(val) from A hierarchical as (radius 1 step 2)",
+        _golden(
+            "geometry.kind=hierarchical\ngeometry.mode=nested\ngeometry.radius=1\n"
+            "geometry.step=2\nmode=optimized\ntemplate=ring_opt\n",
+            "stddev",
+        ),
+    ),
+    (
+        "select median(val) from A circular as (radius 1 step 2)",
+        _golden(
+            "geometry.kind=circular\ngeometry.mode=disjoint\ngeometry.radius=1\n"
+            "geometry.step=2\nmode=naive\ntemplate=ring_naive\n",
+            "median",
+        ),
+    ),
+]
 
 
 class TestGenData:
@@ -200,6 +258,24 @@ class TestTranslateAndConfigRun:
         rc = main(["run", "--config", str(cfg)])
         assert rc == 3
 
+    def test_bad_where_constant_is_exit_3(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        main(["translate", GRID_Q, "--data-dir", str(data_dir), "--out", str(cfg)])
+        cfg.write_text(cfg.read_text() + "where.0=val > abc\n")
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 3
+        assert "bad where condition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query,expected", TRANSLATE_GOLDEN)
+    def test_translate_output_is_stable(self, data_dir, tmp_path, query, expected):
+        cfg = tmp_path / "job.cfg"
+        assert main(["translate", query, "--data-dir", str(data_dir), "--out", str(cfg)]) == 0
+        assert cfg.read_text() == expected.format(path=data_dir / "A.bin")
+        # loading the file and writing it back reproduces it byte for byte
+        again = emit_param_config(load_param_config(cfg), tmp_path / "again.cfg")
+        assert again.read_bytes() == cfg.read_bytes()
+
     def test_config_against_catalog(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
         main(["translate", GRID_Q, "--data-dir", str(data_dir), "--out", str(cfg)])
@@ -221,12 +297,23 @@ class TestBench:
         )
         out = capsys.readouterr().out
         assert rc == 0
-        assert "mode=naive workers=1" in out
+        # one run per mode, whatever --workers lists
+        assert [l.split(":")[0] for l in out.splitlines() if l.startswith("mode=")] == [
+            "mode=naive",
+            "mode=optimized",
+        ]
         assert "map_output_records ratio" in out
         doc = json.loads(report.read_text())
         assert doc["workers"] == [1, 2]
         assert doc["ratios"]["map_output_records"] > 1
         assert doc["modes"]["naive"]["counters"]["map_output_records"] == 256
+        assert isinstance(doc["modes"]["optimized"]["time"], float)
+
+    @pytest.mark.parametrize("workers", ["1,x", "0", "2,-1"])
+    def test_bad_workers_list_is_exit_4(self, data_dir, capsys, workers):
+        rc = main(["bench", GRID_Q, "--data-dir", str(data_dir), "--workers", workers])
+        assert rc == 4
+        assert "bad --workers" in capsys.readouterr().err
 
     def test_holistic_is_exit_3(self, data_dir, capsys):
         rc = main(

@@ -112,6 +112,15 @@ class TestGridJobs:
         c = result.counters.snapshot()
         assert c["bytes_shuffled"] == (KEY_BYTES + SUMMARY_EXT_BYTES) * c["map_output_records"]
 
+    @pytest.mark.parametrize("mode", ["naive", "optimized"])
+    def test_stddev_at_large_offset_matches_oracle(self, array_factory, mode):
+        values = np.array([1e9, 1e9 + 1, 1e9 + 2, 1e9 + 3])
+        built = array_factory(extents=(4,), chunks=(2,), values=values)
+        result = run_query(built, "select stddev(val) from A grid as (partition by x 4)", mode)
+        expected = expected_results("stddev", [values])
+        assert_close(result.values[0], expected[0], context=mode)
+        assert result.values[0] == pytest.approx(1.118033988749895, rel=1e-12)
+
 
 class TestSlidingJobs:
     @pytest.mark.parametrize("mode", ["naive", "optimized"])

@@ -96,15 +96,19 @@ class TestSliding:
         assert groups_of((9,), geom) == (9,)
 
     def test_membership_matches_extents_exhaustively(self):
-        for stride in (1, 2, 3):
-            geom = make_geometry(
-                "sliding", box((3, 0), (12, 6)), SlidingParams((2, 1), (1, 2), stride)
-            )
+        cases = [
+            ((3, 0), (12, 6), (2, 1), (1, 2)),
+            ((2,), (17,), (3,), (0,)),
+            ((0, 1, 2), (5, 4, 7), (1, 0, 2), (2, 1, 0)),
+        ]
+        for (lo, hi, prec, foll), stride in product(cases, (1, 2, 3)):
+            geom = make_geometry("sliding", box(lo, hi), SlidingParams(prec, foll, stride))
             extents = [group_extent(g, geom) for g in range(geom.group_count)]
             for coord in all_coords(geom.box):
-                member = set(groups_of(coord, geom))
-                covering = {g for g, e in enumerate(extents) if e.contains(coord)}
-                assert member == covering, (coord, stride)
+                # ids come in ascending (row-major) order
+                member = list(groups_of(coord, geom))
+                covering = [g for g, e in enumerate(extents) if e.contains(coord)]
+                assert member == covering, (coord, lo, stride)
 
     def test_extent_clipped_to_box(self):
         geom = make_geometry(
@@ -175,6 +179,35 @@ class TestRings:
                 assert extent.inner < d <= extent.outer or (
                     k == 0 and d <= extent.outer
                 )
+
+    @pytest.mark.parametrize("r0,step", [(0, 1), (1, 1), (2, 3), (3, 2), (5, 4), (4, 7)])
+    def test_circular_buckets_exact_integer(self, r0, step):
+        # ring k holds (r0+(k-1)s)^2 < d2 <= (r0+ks)^2; boundaries are perfect
+        # squares, reached by axis offsets and by Pythagorean triples
+        geom = make_geometry("circular", box((0, 0), (40, 40)), RingParams(r0, step, "disjoint"))
+        last = geom.group_count - 1
+        for coord in all_coords(geom.box):
+            d2 = sum((c - z) ** 2 for c, z in zip(coord, geom.centroid))
+            gids = groups_of(coord, geom)
+            if d2 > (r0 + last * step) ** 2:
+                assert gids == (), coord
+                continue
+            (k,) = gids
+            assert d2 <= (r0 + k * step) ** 2, coord
+            assert k == 0 or (r0 + (k - 1) * step) ** 2 < d2, coord
+
+    def test_circular_buckets_exact_at_large_radii(self):
+        c = 2**31
+        geom = make_geometry(
+            "circular", box((0, 0), (2 * c, 2 * c)), RingParams(1, c - 1, "disjoint")
+        )
+        assert geom.group_count == 2
+        # radius c is the boundary of ring 1; d2 = c^2 = 2^62 is still inside it
+        assert groups_of((c, 0), geom) == (1,)
+        assert groups_of((c, 2 * c), geom) == (1,)
+        assert groups_of((c, c - 1), geom) == (0,)
+        assert groups_of((c, c + 2), geom) == (1,)
+        assert groups_of((1, 1), geom) == ()  # d2 = 2(c-1)^2 > c^2
 
     def test_odd_even_centroid(self):
         geom = make_geometry("hierarchical", box((0, 0), (9, 9)), RingParams(1, 1, "nested"))

@@ -204,7 +204,7 @@ class TestConfigValidation:
 
     def test_box_out_of_bounds(self, tmp_path, pairs):
         pairs["box.hi"] = "16,15"
-        with pytest.raises(ConfigError, match="out of bounds"):
+        with pytest.raises(ConfigError, match="outside physical layout"):
             load_param_config(_write_config(tmp_path, pairs))
 
     def test_box_wrong_arity(self, tmp_path, pairs):
@@ -232,6 +232,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bad where condition"):
             load_param_config(_write_config(tmp_path, pairs))
 
+    def test_non_numeric_where_constant(self, tmp_path, pairs):
+        pairs["where.0"] = "val > abc"
+        with pytest.raises(ConfigError, match="bad where condition"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    def test_where_key_without_index(self, tmp_path, pairs):
+        pairs["where.first"] = "val > 3"
+        with pytest.raises(ConfigError, match="bad where key"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    def test_where_keys_in_index_order(self, tmp_path, pairs):
+        pairs["where.10"] = "val < 90"
+        pairs["where.2"] = "val > 3"
+        loaded = load_param_config(_write_config(tmp_path, pairs))
+        assert loaded.query.predicate.render() == "val > 3 and val < 90"
+
     def test_where_attribute_mismatch(self, tmp_path, pairs):
         pairs["where.0"] = "temp > 3"
         with pytest.raises(ConfigError, match="attribute"):
@@ -252,6 +268,33 @@ class TestConfigValidation:
         pairs = config_pairs(make_plan(built, HIER_Q))
         pairs["geometry.mode"] = "spiral"
         with pytest.raises(ConfigError, match="ring mode"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    @pytest.mark.parametrize(
+        "kind,ring_mode", [("circular", "nested"), ("hierarchical", "disjoint")]
+    )
+    def test_ring_mode_must_match_kind(self, built, tmp_path, kind, ring_mode):
+        pairs = config_pairs(make_plan(built, HIER_Q))
+        pairs["geometry.kind"] = kind
+        pairs["geometry.mode"] = ring_mode
+        with pytest.raises(ConfigError, match="ring mode"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    def test_negative_window_span(self, built, tmp_path):
+        pairs = config_pairs(make_plan(built, WINDOW_Q))
+        pairs["geometry.window.y"] = "1:-1"
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    def test_bad_ring_step(self, built, tmp_path):
+        pairs = config_pairs(make_plan(built, HIER_Q))
+        pairs["geometry.step"] = "0"
+        with pytest.raises(ConfigError, match="step must be >= 1"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    def test_unknown_geometry_kind(self, tmp_path, pairs):
+        pairs["geometry.kind"] = "spiral"
+        with pytest.raises(ConfigError, match="unknown geometry kind"):
             load_param_config(_write_config(tmp_path, pairs))
 
     def test_grid_missing_partition_dim(self, tmp_path, pairs):
