@@ -103,19 +103,8 @@ class Count(Aggregator):
         return summary.count
 
 
-class Avg(Aggregator):
+class Avg(Sum):
     name = "avg"
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        summary.aggregate += value
-        summary.count += 1
-        return summary
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        summary.aggregate += other.aggregate
-        summary.count += other.count
-        return summary
 
     def get_agg_result(self, summary: AggSummary) -> float | int | None:
         if summary.count == 0:
@@ -201,8 +190,9 @@ class StdDev(Aggregator):
         return math.sqrt(summary.ext / summary.count)
 
 
-class GeoMean(Aggregator):
-    """Geometric mean via a running log sum; defined for positive values only."""
+class GeoMean(Sum):
+    """Geometric mean via a running log sum; defined for positive values only.
+    Summaries merge as sums do."""
 
     name = "geomean"
 
@@ -214,11 +204,6 @@ class GeoMean(Aggregator):
             )
         summary.aggregate += math.log(value)
         summary.count += 1
-        return summary
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        summary.aggregate += other.aggregate
-        summary.count += other.count
         return summary
 
     def get_agg_result(self, summary: AggSummary) -> float | int | None:
@@ -276,9 +261,6 @@ class AggregatorRegistry:
 
     def canonical_name(self, name: str) -> str:
         return self.get(name).name
-
-    def names(self) -> list[str]:
-        return sorted(self._aggs)
 
 
 _DEFAULT: AggregatorRegistry | None = None

@@ -1,12 +1,14 @@
 """Tokenizer for the query language.
 
 Keywords are case-insensitive; identifiers keep their spelling. Numbers are
-int when the text has no fraction or exponent, float otherwise. Every token
+int when the text has no fraction or exponent, float otherwise; a float
+literal too large for a double is an error, not infinity. Every token
 carries line and column (1-based) for error reports.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import NamedTuple
 
@@ -83,7 +85,10 @@ def tokenize(text: str) -> list[Token]:
                 line_start = m.start() + raw.rfind("\n") + 1
         elif kind == "number":
             if m.group("frac") or m.group("exp"):
-                tokens.append(Token("float", raw, float(raw), line, col))
+                value = float(raw)
+                if math.isinf(value):
+                    raise LexError(f"number {raw!r} is out of range", line, col)
+                tokens.append(Token("float", raw, value, line, col))
             else:
                 tokens.append(Token("int", raw, int(raw), line, col))
         elif kind == "ident":

@@ -154,38 +154,36 @@ class _Parser:
         self.expect("lparen")
         self.expect_keyword("partition")
         self.expect_keyword("by")
-        items = [(self.expect_ident(), self.expect_int())]
-        while self.accept("comma"):
-            if self.current.kind != "ident":
-                break  # trailing comma
-            items.append((self.expect_ident(), self.expect_int()))
-        # no comma between items is also accepted
-        while self.current.kind == "ident":
-            items.append((self.expect_ident(), self.expect_int()))
-            self.accept("comma")
+        items = self.dimension_items(lambda: (self.expect_ident(), self.expect_int()))
         self.expect("rparen")
-        return GridClause(tuple(items))
+        return GridClause(items)
 
     def window_body(self) -> WindowClause:
         self.expect_keyword("as")
         self.expect("lparen")
         self.expect_keyword("partition")
         self.expect_keyword("by")
-        items = [self.window_item()]
-        while True:
-            if self.accept("comma"):
-                if self.current.kind != "ident":
-                    break  # trailing comma
-                items.append(self.window_item())
-            elif self.current.kind == "ident":
-                items.append(self.window_item())
-            else:
-                break
+        items = self.dimension_items(self.window_item)
         stride = None
         if self.accept("keyword", "stride"):
             stride = self.expect_int()
         self.expect("rparen")
-        return WindowClause(tuple(items), stride)
+        return WindowClause(items, stride)
+
+    def dimension_items(self, item) -> tuple:
+        """One or more per-dimension items; commas between them and after the
+        last one are optional."""
+        items = [item()]
+        while True:
+            if self.accept("comma"):
+                if self.current.kind != "ident":
+                    break  # trailing comma
+                items.append(item())
+            elif self.current.kind == "ident":
+                items.append(item())
+            else:
+                break
+        return tuple(items)
 
     def window_item(self) -> tuple[str, int, int]:
         name = self.expect_ident()
@@ -207,9 +205,20 @@ class _Parser:
         return radius, step
 
 
-def parse(text: str) -> QueryAst:
+def _parser(text: str) -> _Parser:
     try:
-        tokens = tokenize(text)
+        return _Parser(tokenize(text))
     except LexError as exc:
         raise ParseError(str(exc)) from exc
-    return _Parser(tokens).query()
+
+
+def parse(text: str) -> QueryAst:
+    return _parser(text).query()
+
+
+def parse_comparison(text: str) -> Comparison:
+    """Read one ``where`` condition, ``ident op number``, and nothing else."""
+    parser = _parser(text)
+    cmp = parser.comparison()
+    parser.expect("eof")
+    return cmp

@@ -76,51 +76,46 @@ def _check_attribute(name: str, role: str, schema: ArraySchema) -> None:
         )
 
 
-def _grid_params(shape: GridClause, schema: ArraySchema) -> GridParams:
-    sizes: dict[str, int] = {}
-    for dim_name, size in shape.partitions:
-        if dim_name in sizes:
+def _by_dimension(items, schema: ArraySchema, invalid, problem: str) -> list[tuple]:
+    """Resolve ``(dimension name, *values)`` items to one value tuple per
+    schema dimension, in schema order; ``invalid(*values)`` flags bad values."""
+    found: dict[str, tuple] = {}
+    for dim_name, *values in items:
+        if dim_name in found:
             raise SemanticError(f"dimension {dim_name!r} partitioned twice")
         if not any(d.name == dim_name for d in schema.dims):
             raise SemanticError(
                 f"unknown dimension {dim_name!r} in partition (array has "
                 f"{', '.join(d.name for d in schema.dims)})"
             )
-        if size < 1:
-            raise SemanticError(f"dimension {dim_name!r}: partition size must be >= 1")
-        sizes[dim_name] = size
-    missing = [d.name for d in schema.dims if d.name not in sizes]
+        if invalid(*values):
+            raise SemanticError(f"dimension {dim_name!r}: {problem}")
+        found[dim_name] = tuple(values)
+    missing = [d.name for d in schema.dims if d.name not in found]
     if missing:
         raise SemanticError(f"partition missing dimensions: {', '.join(missing)}")
-    return GridParams(tuple(sizes[d.name] for d in schema.dims))
+    return [found[d.name] for d in schema.dims]
+
+
+def _grid_params(shape: GridClause, schema: ArraySchema) -> GridParams:
+    sizes = _by_dimension(
+        shape.partitions, schema, lambda size: size < 1, "partition size must be >= 1"
+    )
+    return GridParams(tuple(size for (size,) in sizes))
 
 
 def _sliding_params(shape: WindowClause, schema: ArraySchema) -> SlidingParams:
-    spans: dict[str, tuple[int, int]] = {}
-    for dim_name, preceding, following in shape.windows:
-        if dim_name in spans:
-            raise SemanticError(f"dimension {dim_name!r} partitioned twice")
-        if not any(d.name == dim_name for d in schema.dims):
-            raise SemanticError(
-                f"unknown dimension {dim_name!r} in partition (array has "
-                f"{', '.join(d.name for d in schema.dims)})"
-            )
-        if preceding < 0 or following < 0:
-            raise SemanticError(
-                f"dimension {dim_name!r}: preceding and following must be >= 0"
-            )
-        spans[dim_name] = (preceding, following)
-    missing = [d.name for d in schema.dims if d.name not in spans]
-    if missing:
-        raise SemanticError(f"partition missing dimensions: {', '.join(missing)}")
+    spans = _by_dimension(
+        shape.windows,
+        schema,
+        lambda preceding, following: preceding < 0 or following < 0,
+        "preceding and following must be >= 0",
+    )
     stride = 1 if shape.stride is None else shape.stride
     if stride < 1:
         raise SemanticError("stride must be >= 1")
-    return SlidingParams(
-        preceding=tuple(spans[d.name][0] for d in schema.dims),
-        following=tuple(spans[d.name][1] for d in schema.dims),
-        stride=stride,
-    )
+    preceding, following = zip(*spans)
+    return SlidingParams(preceding=preceding, following=following, stride=stride)
 
 
 def _ring_params(shape: HierarchicalClause | CircularClause) -> RingParams:

@@ -15,7 +15,6 @@ and run by a separate process.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,15 +29,10 @@ from .frontend.nodes import (
     Source,
     WindowClause,
 )
+from .frontend.parser import ParseError, parse_comparison
 from .frontend.semantic import QueryObject, SemanticError, analyze
-from .grouping import (
-    GridParams,
-    GroupGeometry,
-    RingParams,
-    SlidingParams,
-    make_geometry,
-)
-from .predicate import COMPARATORS, Comparison
+from .grouping import GridParams, GroupGeometry, SlidingParams, make_geometry
+from .predicate import Comparison
 from .storage import ArraySchema, BoundingBox, Catalog, DimSpec
 
 TEMPLATES = {
@@ -93,7 +87,6 @@ def plan(
     query: QueryObject,
     mode_request: str = "auto",
     *,
-    data_path: Path | str | None = None,
     registry: AggregatorRegistry | None = None,
     workers: int = 1,
 ) -> JobPlan:
@@ -122,16 +115,13 @@ def plan(
             mode = "naive"
     else:
         raise PlanError(f"unknown mode {mode_request!r} (expected auto, naive, or optimized)")
-    path = Path(data_path) if data_path is not None else query.data_path
-    if path is not None and query.data_path != path:
-        query = replace(query, data_path=path)
     template_id = f"{_FAMILY[query.kind]}_{'opt' if mode == 'optimized' else 'naive'}"
     return JobPlan(
         template_id=template_id,
         mode=mode,
         query=query,
         geometry=make_geometry(query.kind, query.box, query.geometry),
-        splits=SplitSpec(path, query.box, query.array.chunk_shape),
+        splits=SplitSpec(query.data_path, query.box, query.array.chunk_shape),
         workers=workers,
     )
 
@@ -208,27 +198,6 @@ def emit_param_config(plan: JobPlan, out_path: Path | str, *, workers: int | Non
     return out_path
 
 
-_EXACT_KEYS = {
-    "template",
-    "mode",
-    "workers",
-    "aggregator",
-    "array",
-    "array.attribute",
-    "array.element_type",
-    "array.dims",
-    "array.path",
-    "box.lo",
-    "box.hi",
-    "geometry.kind",
-    "geometry.stride",
-    "geometry.radius",
-    "geometry.step",
-    "geometry.mode",
-}
-_PREFIX_KEYS = ("geometry.partition.", "geometry.window.", "where.")
-
-
 def _parse_pairs(text: str) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -241,8 +210,6 @@ def _parse_pairs(text: str) -> dict[str, str]:
         key = key.strip()
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _EXACT_KEYS and not key.startswith(_PREFIX_KEYS):
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         pairs[key] = value.strip()
     return pairs
 
@@ -286,19 +253,11 @@ def _parse_coords(pairs: dict[str, str], key: str, ndim: int) -> tuple[int, ...]
     return coords
 
 
-_INT_RE = re.compile(r"-?\d+$")
-
-
 def _parse_comparison(text: str) -> Comparison:
-    parts = text.split()
-    if len(parts) != 3 or parts[1] not in COMPARATORS:
-        raise ConfigError(f"bad where condition {text!r}")
-    const_text = parts[2]
     try:
-        constant = int(const_text) if _INT_RE.match(const_text) else float(const_text)
-    except ValueError:
-        raise ConfigError(f"bad where condition {text!r}") from None
-    return Comparison(parts[0], parts[1], constant)
+        return parse_comparison(text)
+    except ParseError as exc:
+        raise ConfigError(f"bad where condition {text!r}: {exc}") from None
 
 
 def _parse_where(pairs: dict[str, str]) -> tuple[Comparison, ...] | None:
@@ -339,11 +298,14 @@ def load_param_config(
 ) -> JobPlan:
     """Read a parameter file back into a plan.
 
-    The file's keys are rebuilt into a query and checked by the same
-    ``analyze`` and ``plan`` that handle query text; only what the file
-    format adds (its key lines, the catalog cross-check, the fixed mode and
-    template, workers) is checked here. The file is self-contained; a
-    catalog, when given, supplies the data path and cross-checks the schema.
+    The file's keys are rebuilt into a query, its ``where.N`` values read by
+    the query grammar, and checked by the same ``analyze`` and ``plan`` that
+    handle query text. The file must then hold only keys that
+    ``config_pairs`` writes for that plan, and agree with it on the keys the
+    plan derives. Only what the format adds (its key lines, the catalog
+    cross-check, the fixed mode, workers) is checked here. The file is
+    self-contained; a catalog, when given, supplies the data path and
+    cross-checks the schema.
     """
     registry = registry or default_registry()
     pairs = _parse_pairs(Path(path).read_text())
@@ -388,14 +350,6 @@ def load_param_config(
         query = analyze(ast, file_catalog, registry)
     except SemanticError as exc:
         raise ConfigError(str(exc)) from exc
-    if isinstance(query.geometry, RingParams):
-        ring_mode = _require(pairs, "geometry.mode")
-        if ring_mode != query.geometry.mode:
-            raise ConfigError(
-                f"ring mode {ring_mode!r} does not match geometry {query.kind!r} "
-                f"(expected {query.geometry.mode!r})"
-            )
-
     mode = _require(pairs, "mode")
     if mode not in ("naive", "optimized"):
         raise ConfigError(f"unknown mode {mode!r}")
@@ -408,12 +362,26 @@ def load_param_config(
         raise ConfigError("workers must be >= 1")
     job = plan(query, mode, registry=registry, workers=workers)
 
-    template_id = _require(pairs, "template")
-    if template_id not in TEMPLATES:
-        raise ConfigError(f"unknown template {template_id!r}")
-    if template_id != job.template_id:
-        raise ConfigError(
-            f"template {template_id!r} does not match geometry {query.kind!r} "
-            f"and mode {mode!r} (expected {job.template_id!r})"
-        )
+    _check_keys(pairs, config_pairs(job))
     return job
+
+
+# Written from the plan rather than read into the query; a file must agree.
+_DERIVED_KEYS = ("template", "geometry.mode")
+
+
+def _check_keys(pairs: dict[str, str], written: dict[str, str]) -> None:
+    """Hold the file's keys to what ``config_pairs`` writes for its plan.
+
+    ``where.N`` keys are exempt: each was read into the query, and their
+    indices may be sparse.
+    """
+    for key in pairs:
+        if key not in written and not key.startswith("where."):
+            raise ConfigError(f"unknown config key {key!r}")
+    for key in _DERIVED_KEYS:
+        if key in written and _require(pairs, key) != written[key]:
+            raise ConfigError(
+                f"config key {key!r} is {pairs[key]!r}, which does not match "
+                f"the plan the file describes ({written[key]!r})"
+            )

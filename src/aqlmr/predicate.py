@@ -15,8 +15,6 @@ _ARRAY_OPS = {
     "<>": np.not_equal,
 }
 
-COMPARATORS = tuple(_ARRAY_OPS)
-
 
 @dataclass(frozen=True)
 class Comparison:

@@ -249,9 +249,6 @@ class Catalog:
     def get(self, name: str) -> CatalogEntry | None:
         return self._entries.get(name)
 
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
     @classmethod
     def load_dir(cls, directory: Path | str) -> "Catalog":
         catalog = cls()

@@ -267,6 +267,29 @@ class TestTranslateAndConfigRun:
         assert rc == 3
         assert "bad where condition" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["geometry.partition.q=3", "geometry.radius=-5", "geometry.window.x=9:9"]
+    )
+    def test_key_a_grid_plan_does_not_use_is_exit_3(self, data_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "job.cfg"
+        main(["translate", GRID_Q, "--data-dir", str(data_dir), "--out", str(cfg)])
+        cfg.write_text(cfg.read_text() + line + "\n")
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 3
+        assert "unknown config key" in capsys.readouterr().err
+
+    def test_where_constants_round_trip(self, data_dir, tmp_path):
+        # every constant query text can say is written in a form that loads back
+        cfg = tmp_path / "job.cfg"
+        query = (
+            "select sum(val) from A where val > -1e300 and val < 1.5e-7 and val <> 123456789012"
+            " and val >= -0.0 grid as (partition by x 8, y 8)"
+        )
+        assert main(["translate", query, "--data-dir", str(data_dir), "--out", str(cfg)]) == 0
+        again = emit_param_config(load_param_config(cfg), tmp_path / "again.cfg")
+        assert again.read_bytes() == cfg.read_bytes()
+
     @pytest.mark.parametrize("query,expected", TRANSLATE_GOLDEN)
     def test_translate_output_is_stable(self, data_dir, tmp_path, query, expected):
         cfg = tmp_path / "job.cfg"

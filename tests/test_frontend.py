@@ -15,7 +15,8 @@ from aqlmr import (
     parse,
     render,
 )
-from aqlmr.frontend.lexer import KEYWORDS, tokenize
+from aqlmr.frontend.lexer import KEYWORDS, LexError, tokenize
+from aqlmr.frontend.parser import parse_comparison
 from aqlmr.frontend.nodes import (
     CircularClause,
     GridClause,
@@ -39,6 +40,11 @@ class TestLexer:
             ("float", 1e3),
             ("float", 2.5e-2),
         ]
+
+    @pytest.mark.parametrize("text", ["1e400", "-2.5e999"])
+    def test_float_overflow_rejected(self, text):
+        with pytest.raises(LexError, match="out of range"):
+            tokenize(text)
 
     def test_keywords_fold_case_idents_do_not(self):
         toks = tokenize("SELECT Val FROM")
@@ -98,6 +104,17 @@ class TestParser:
             Comparison("v", "<=", 100),
             Comparison("v", "<>", 7),
         )
+
+    def test_parse_comparison(self):
+        assert parse_comparison("val >= -2.5") == Comparison("val", ">=", -2.5)
+        assert parse_comparison(" v<>7 ") == Comparison("v", "<>", 7)
+
+    @pytest.mark.parametrize(
+        "text", ["", "val", "val > ", "val > 3 and val < 4", "val > 3 3", "3 > val", "val ! 3"]
+    )
+    def test_parse_comparison_rejects(self, text):
+        with pytest.raises(ParseError):
+            parse_comparison(text)
 
     def test_missing_shape_clause(self):
         with pytest.raises(ParseError, match="missing shape clause"):

@@ -199,7 +199,7 @@ class TestConfigValidation:
 
     def test_unknown_template(self, tmp_path, pairs):
         pairs["template"] = "grid_fast"
-        with pytest.raises(ConfigError, match="unknown template"):
+        with pytest.raises(ConfigError, match="config key 'template'"):
             load_param_config(_write_config(tmp_path, pairs))
 
     def test_box_out_of_bounds(self, tmp_path, pairs):
@@ -237,6 +237,41 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="bad where condition"):
             load_param_config(_write_config(tmp_path, pairs))
 
+    @pytest.mark.parametrize("constant", ["nan", "inf", "infinity", "1_0", "+5"])
+    def test_where_constant_query_text_rejects(self, tmp_path, pairs, constant):
+        pairs["where.0"] = f"val > {constant}"
+        with pytest.raises(ConfigError, match="bad where condition"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    @pytest.mark.parametrize("constant,value", [("-5", -5), ("1e3", 1000.0)])
+    def test_where_constant_query_text_accepts(self, tmp_path, pairs, constant, value):
+        pairs["where.0"] = f"val > {constant}"
+        loaded = load_param_config(_write_config(tmp_path, pairs))
+        (cmp,) = loaded.query.predicate.conjuncts
+        assert cmp.constant == value and type(cmp.constant) is type(value)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("geometry.partition.q", "3"),
+            ("geometry.radius", "-5"),
+            ("geometry.window.x", "9:9"),
+            ("geometry.stride", "1"),
+            ("geometry.mode", "nested"),
+        ],
+    )
+    def test_key_the_plan_does_not_use(self, tmp_path, pairs, key, value):
+        pairs[key] = value
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    @pytest.mark.parametrize("text,key", [(GRID_Q, "template"), (HIER_Q, "geometry.mode")])
+    def test_derived_key_missing(self, built, tmp_path, text, key):
+        pairs = config_pairs(make_plan(built, text))
+        del pairs[key]
+        with pytest.raises(ConfigError, match=f"missing config key '{key}'"):
+            load_param_config(_write_config(tmp_path, pairs))
+
     def test_where_key_without_index(self, tmp_path, pairs):
         pairs["where.first"] = "val > 3"
         with pytest.raises(ConfigError, match="bad where key"):
@@ -267,7 +302,7 @@ class TestConfigValidation:
     def test_bad_ring_mode(self, built, tmp_path):
         pairs = config_pairs(make_plan(built, HIER_Q))
         pairs["geometry.mode"] = "spiral"
-        with pytest.raises(ConfigError, match="ring mode"):
+        with pytest.raises(ConfigError, match="config key 'geometry.mode'"):
             load_param_config(_write_config(tmp_path, pairs))
 
     @pytest.mark.parametrize(
@@ -277,7 +312,7 @@ class TestConfigValidation:
         pairs = config_pairs(make_plan(built, HIER_Q))
         pairs["geometry.kind"] = kind
         pairs["geometry.mode"] = ring_mode
-        with pytest.raises(ConfigError, match="ring mode"):
+        with pytest.raises(ConfigError, match="config key 'geometry.mode'"):
             load_param_config(_write_config(tmp_path, pairs))
 
     def test_negative_window_span(self, built, tmp_path):
