@@ -162,17 +162,8 @@ def run_job(
         raise EngineError("workers must be >= 1")
 
     spec = plan.splits
-    if spec.data_path is None:
-        raise EngineError(f"plan for {plan.query.array.name!r} has no data file")
-    schema = plan.query.array
-    size = spec.data_path.stat().st_size
-    if size != schema.nbytes:
-        raise EngineError(
-            f"{spec.data_path} holds {size} bytes where {schema.nbytes} are expected: "
-            "data file does not match metadata"
-        )
     try:
-        splits = compute_splits(schema, spec.box, spec.data_path)
+        splits = compute_splits(plan.query.array, spec.box, spec.data_path)
     except StoreError as exc:
         raise EngineError(str(exc)) from exc
 

@@ -222,3 +222,11 @@ def parse_comparison(text: str) -> Comparison:
     cmp = parser.comparison()
     parser.expect("eof")
     return cmp
+
+
+def parse_int(text: str) -> int:
+    """Read one integer as query text writes it, and nothing else."""
+    parser = _parser(text)
+    value = parser.expect_int()
+    parser.expect("eof")
+    return value

@@ -29,7 +29,7 @@ from .frontend.nodes import (
     Source,
     WindowClause,
 )
-from .frontend.parser import ParseError, parse_comparison
+from .frontend.parser import ParseError, parse_comparison, parse_int
 from .frontend.semantic import QueryObject, SemanticError, analyze
 from .grouping import GridParams, GroupGeometry, SlidingParams, make_geometry
 from .predicate import Comparison
@@ -221,12 +221,15 @@ def _require(pairs: dict[str, str], key: str) -> str:
         raise ConfigError(f"missing config key {key!r}") from None
 
 
-def _int(pairs: dict[str, str], key: str) -> int:
-    text = _require(pairs, key)
+def _parse_int(text: str, key: str) -> int:
     try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: expected integer, got {text!r}") from None
+        return parse_int(text)
+    except ParseError as exc:
+        raise ConfigError(f"config key {key!r}: bad integer {text!r}: {exc}") from None
+
+
+def _int(pairs: dict[str, str], key: str) -> int:
+    return _parse_int(_require(pairs, key), key)
 
 
 def _parse_dims(text: str) -> tuple[DimSpec, ...]:
@@ -235,19 +238,13 @@ def _parse_dims(text: str) -> tuple[DimSpec, ...]:
         parts = item.split(":")
         if len(parts) != 4:
             raise ConfigError(f"bad dimension spec {item!r} (want name:start:end:chunk)")
-        try:
-            dims.append(DimSpec(parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
-        except ValueError:
-            raise ConfigError(f"bad dimension spec {item!r}") from None
+        start, end, chunk = (_parse_int(v, "array.dims") for v in parts[1:])
+        dims.append(DimSpec(parts[0], start, end, chunk))
     return tuple(dims)
 
 
 def _parse_coords(pairs: dict[str, str], key: str, ndim: int) -> tuple[int, ...]:
-    text = _require(pairs, key)
-    try:
-        coords = tuple(int(v) for v in text.split(_CSV))
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: bad coordinates {text!r}") from None
+    coords = tuple(_parse_int(v, key) for v in _require(pairs, key).split(_CSV))
     if len(coords) != ndim:
         raise ConfigError(f"config key {key!r}: expected {ndim} coordinates")
     return coords
@@ -270,11 +267,12 @@ def _parse_where(pairs: dict[str, str]) -> tuple[Comparison, ...] | None:
 
 
 def _parse_window(pairs: dict[str, str], dim: str) -> tuple[str, int, int]:
-    text = _require(pairs, f"geometry.window.{dim}")
-    try:
-        preceding, following = (int(v) for v in text.split(":"))
-    except ValueError:
-        raise ConfigError(f"bad window spec {text!r} (want preceding:following)") from None
+    key = f"geometry.window.{dim}"
+    text = _require(pairs, key)
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise ConfigError(f"bad window spec {text!r} (want preceding:following)")
+    preceding, following = (_parse_int(v, key) for v in parts)
     return dim, preceding, following
 
 

@@ -2,16 +2,17 @@
 
 An array lives as two files: ``<name>.bin`` holding raw little-endian cells in
 row-major order with no header, and ``<name>.meta.json`` describing the schema.
-Chunking is logical: it determines split boundaries and byte ranges, not the
-physical layout. A split covers one chunk clipped to the query box, so a scan
-over a box never reads bytes outside the chunks that box touches, and value
-filtering is applied while rows stream out of the file rather than in a second
-pass.
+Chunking is logical: it determines split boundaries, not the physical layout.
+A split is one chunk clipped to the query box, and reading it fills one n-d
+block with exactly the region's cells, one row segment at a time, so a scan
+never reads bytes outside its box. The value filter is applied to the whole
+block at once. Each read checks the data file's size against the metadata.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -106,10 +107,6 @@ class ArraySchema:
             out[i] = out[i + 1] * self.dims[i + 1].extent
         return tuple(out)
 
-    def linear_index(self, coord: tuple[int, ...]) -> int:
-        strides = self.strides()
-        return sum((c - d.start) * s for c, d, s in zip(coord, self.dims, strides))
-
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -159,16 +156,10 @@ class CellRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class ArraySplit:
-    """One map-task input: a chunk clipped to the query box.
-
-    byte_ranges lists (offset, length) file ranges, one per covered row
-    segment, in row-major order; together they cover exactly the region's
-    cells.
-    """
+    """One map-task input: a chunk clipped to the query box."""
 
     split_id: int
     region: BoundingBox
-    byte_ranges: tuple[tuple[int, int], ...]
     schema: ArraySchema
     data_path: Path | None
 
@@ -302,23 +293,6 @@ def _chunk_counts(schema: ArraySchema) -> tuple[int, ...]:
     return tuple(-(-d.extent // d.chunk) for d in schema.dims)
 
 
-def _row_starts(region: BoundingBox) -> Iterator[tuple[int, ...]]:
-    """Row-major iteration over all-but-last-dimension coordinates of a region."""
-    outer = [range(l, h + 1) for l, h in zip(region.lo[:-1], region.hi[:-1])]
-    return product(*outer)
-
-
-def _region_byte_ranges(schema: ArraySchema, region: BoundingBox) -> tuple[tuple[int, int], ...]:
-    row_cells = region.hi[-1] - region.lo[-1] + 1
-    length = row_cells * ELEMENT_SIZE
-    last_lo = region.lo[-1]
-    ranges = []
-    for outer in _row_starts(region):
-        offset = schema.linear_index(outer + (last_lo,)) * ELEMENT_SIZE
-        ranges.append((offset, length))
-    return tuple(ranges)
-
-
 def compute_splits(
     schema: ArraySchema, box: BoundingBox, data_path: Path | str | None = None
 ) -> list[ArraySplit]:
@@ -348,7 +322,6 @@ def compute_splits(
             ArraySplit(
                 split_id=split_id,
                 region=region,
-                byte_ranges=_region_byte_ranges(schema, region),
                 schema=schema,
                 data_path=path,
             )
@@ -356,41 +329,63 @@ def compute_splits(
     return splits
 
 
+def _read_block(split: ArraySplit) -> np.ndarray:
+    """The split's region as an n-d array, read one row segment at a time."""
+    schema, region = split.schema, split.region
+    if split.data_path is None:
+        raise StoreError(f"array {schema.name!r} has no data file")
+    block = np.empty(region.shape, schema.dtype)
+    rows = block.reshape(-1, region.shape[-1])
+    # file offset of each row segment: the region's first cell plus the
+    # row's position along the outer dimensions' strides
+    strides = schema.strides()
+    first = sum((l - d.start) * s for l, d, s in zip(region.lo, schema.dims, strides))
+    outer = np.ix_(*(np.arange(n) * s for n, s in zip(region.shape[:-1], strides[:-1])))
+    offsets = ((first + sum(outer, np.zeros((), np.int64))) * ELEMENT_SIZE).ravel()
+    # readinto, not np.memmap: a file cut short during the read must raise
+    # StoreError, where a memory map would die of SIGBUS
+    try:
+        f = open(split.data_path, "rb")
+    except OSError as exc:
+        raise StoreError(f"array {schema.name!r}: cannot open its data file: {exc}") from exc
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        if size != schema.nbytes:
+            raise StoreError(
+                f"{split.data_path} holds {size} bytes where {schema.nbytes} are "
+                "expected: data file does not match metadata"
+            )
+        for row, offset in zip(rows, offsets.tolist()):
+            f.seek(offset)
+            if f.readinto(row) != row.nbytes:
+                raise StoreError(
+                    f"short read at offset {offset} in {split.data_path}: "
+                    "data file does not match metadata"
+                )
+    return block
+
+
 def read_split(
     split: ArraySplit,
     predicate: ValuePredicate | None = None,
     counters: "Counters | None" = None,
 ) -> Iterator[CellRecord]:
-    """Stream the split's cells in row-major order, filtered by the predicate.
+    """The split's cells that pass the predicate, in row-major order.
 
-    bytes_read counts every byte of the split's ranges regardless of the
-    predicate; map_input_records counts only the yielded cells.
+    The region is read whole before this returns. bytes_read counts every
+    byte of it regardless of the predicate; map_input_records counts only
+    the cells returned.
     """
-    if split.data_path is None:
-        raise StoreError(f"split {split.split_id} has no data file")
-    dtype = split.schema.dtype
+    block = _read_block(split)
     region = split.region
-    last_lo = region.lo[-1]
-    with open(split.data_path, "rb") as f:
-        for outer, (offset, length) in zip(_row_starts(region), split.byte_ranges):
-            f.seek(offset)
-            buf = f.read(length)
-            if len(buf) != length:
-                raise StoreError(
-                    f"short read at offset {offset} in {split.data_path}: "
-                    "data file does not match metadata"
-                )
-            row = np.frombuffer(buf, dtype=dtype)
-            if counters is not None:
-                counters.add("bytes_read", length)
-            if predicate is None:
-                idxs = range(row.size)
-                vals = row.tolist()
-            else:
-                keep = predicate.mask(row)
-                idxs = np.nonzero(keep)[0].tolist()
-                vals = row[keep].tolist()
-            if counters is not None:
-                counters.add("map_input_records", len(vals))
-            for i, v in zip(idxs, vals):
-                yield CellRecord(outer + (last_lo + i,), v)
+    if predicate is None:
+        coords = product(*(range(l, h + 1) for l, h in zip(region.lo, region.hi)))
+        values = block.ravel().tolist()
+    else:
+        keep = predicate.mask(block)
+        coords = zip(*((i + l).tolist() for i, l in zip(np.nonzero(keep), region.lo)))
+        values = block[keep].tolist()
+    if counters is not None:
+        counters.add("bytes_read", block.nbytes)
+        counters.add("map_input_records", len(values))
+    return map(CellRecord, coords, values)

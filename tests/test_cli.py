@@ -279,6 +279,34 @@ class TestTranslateAndConfigRun:
         assert rc == 3
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line,key", [("geometry.window.x=+1:1_0", "geometry.window.x"), ("box.hi=7,+7", "box.hi")]
+    )
+    def test_non_grammar_integer_is_exit_3(self, data_dir, tmp_path, capsys, line, key):
+        cfg = tmp_path / "job.cfg"
+        query = (
+            "select sum(val) from between (A, 0, 0, 7, 7) fixed window as "
+            "(partition by x 1 preceding and 1 following, y 1 preceding and 1 following)"
+        )
+        main(["translate", query, "--data-dir", str(data_dir), "--out", str(cfg)])
+        name = line.partition("=")[0]
+        kept = [l for l in cfg.read_text().splitlines() if not l.startswith(name + "=")]
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 3
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_config_without_data_path_is_exit_4(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        main(["translate", GRID_Q, "--data-dir", str(data_dir), "--out", str(cfg)])
+        kept = [l for l in cfg.read_text().splitlines() if not l.startswith("array.path=")]
+        cfg.write_text("\n".join(kept) + "\n")
+        capsys.readouterr()
+        rc = main(["run", "--config", str(cfg)])
+        assert rc == 4
+        assert "array 'A' has no data file" in capsys.readouterr().err
+
     def test_where_constants_round_trip(self, data_dir, tmp_path):
         # every constant query text can say is written in a form that loads back
         cfg = tmp_path / "job.cfg"

@@ -332,6 +332,36 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown geometry kind"):
             load_param_config(_write_config(tmp_path, pairs))
 
+    @pytest.mark.parametrize("number", ["+1", "1_0", "1.0", "0x4", ""])
+    @pytest.mark.parametrize(
+        "query,key,template",
+        [
+            (GRID_Q, "geometry.partition.x", "{}"),
+            (GRID_Q, "box.hi", "15,{}"),
+            (GRID_Q, "array.dims", "x:0:15:{},y:0:15:4"),
+            (GRID_Q, "workers", "{}"),
+            (WINDOW_Q, "geometry.window.x", "1:{}"),
+            (WINDOW_Q, "geometry.stride", "{}"),
+            (HIER_Q, "geometry.radius", "{}"),
+        ],
+    )
+    def test_integer_keys_use_query_grammar(
+        self, built, tmp_path, query, key, template, number
+    ):
+        pairs = config_pairs(make_plan(built, query))
+        pairs[key] = template.format(number)
+        with pytest.raises(ConfigError, match=f"config key '{key}': bad integer"):
+            load_param_config(_write_config(tmp_path, pairs))
+
+    def test_negative_integers_load(self, tmp_path, pairs):
+        pairs["array.dims"] = "x:-5:10:4,y:0:15:4"
+        pairs["box.lo"] = "-5,0"
+        pairs["box.hi"] = "10,15"
+        del pairs["array.path"]
+        loaded = load_param_config(_write_config(tmp_path, pairs))
+        assert loaded.query.array.dims[0].start == -5
+        assert loaded.query.box.lo == (-5, 0)
+
     def test_grid_missing_partition_dim(self, tmp_path, pairs):
         del pairs["geometry.partition.y"]
         with pytest.raises(ConfigError, match="missing config key"):

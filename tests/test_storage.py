@@ -1,8 +1,10 @@
 import json
-import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqlmr import (
     ArraySchema,
@@ -35,15 +37,12 @@ class TestSchema:
         assert s.nbytes == 384
         assert s.whole_box() == BoundingBox((0, 0), (7, 5))
         assert s.strides() == (6, 1)
-        assert s.linear_index((2, 3)) == 15
 
     def test_nonzero_start(self):
         s = ArraySchema(
             "B", "int64", "v", (DimSpec("x", 10, 19, 5), DimSpec("y", 100, 103, 2))
         )
         assert s.extents == (10, 4)
-        assert s.linear_index((10, 100)) == 0
-        assert s.linear_index((11, 102)) == 6
 
     def test_chunk_exceeds_extent(self):
         with pytest.raises(StoreError, match="chunk exceeds extent"):
@@ -193,16 +192,6 @@ class TestSplits:
                     seen.add((x, y))
         assert len(seen) == box.cell_count
 
-    def test_byte_ranges_cover_exactly_the_region(self):
-        s = ArraySchema("A", "float64", "val", dims2(10, 7, 4, 3))
-        box = BoundingBox((1, 1), (8, 6))
-        for sp in compute_splits(s, box):
-            total = sum(length for _, length in sp.byte_ranges)
-            assert total == sp.region.cell_count * 8
-            # one range per row segment
-            rows = sp.region.cell_count // sp.region.shape[-1]
-            assert len(sp.byte_ranges) == rows
-
     def test_out_of_bounds_box(self):
         s = ArraySchema("A", "float64", "val", dims2(8, 8, 4, 4))
         with pytest.raises(StoreError, match="out of bounds"):
@@ -287,24 +276,132 @@ class TestReadSplit:
     def test_split_without_data_path(self):
         s = ArraySchema("A", "float64", "val", dims2(4, 4, 2, 2))
         sp = compute_splits(s, s.whole_box())[0]
-        with pytest.raises(StoreError, match="no data file"):
+        with pytest.raises(StoreError, match="array 'A' has no data file"):
             list(read_split(sp))
+
+    def test_too_long_file(self, array_factory):
+        built = array_factory(extents=(4, 4), chunks=(4, 4))
+        built.data_path.write_bytes(built.data_path.read_bytes() + bytes(8))
+        sp = compute_splits(built.schema, built.schema.whole_box(), built.data_path)[0]
+        with pytest.raises(StoreError, match="does not match metadata"):
+            list(read_split(sp))
+
+    def test_file_shrinking_after_size_check(self, array_factory, monkeypatch):
+        # the size check passes, then a row segment comes back short
+        built = array_factory(extents=(4, 4), chunks=(2, 4))
+        built.data_path.write_bytes(built.data_path.read_bytes()[:-8])
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):
+            return os.stat_result(
+                real_fstat(fd)[:6] + (built.schema.nbytes,) + real_fstat(fd)[7:]
+            )
+
+        monkeypatch.setattr(os, "fstat", stale_fstat)
+        first, last = compute_splits(built.schema, built.schema.whole_box(), built.data_path)
+        assert len(list(read_split(first))) == 8
+        with pytest.raises(StoreError, match="short read .* does not match metadata"):
+            list(read_split(last))
+
+    def test_missing_data_file_names_the_array(self, array_factory):
+        built = array_factory(extents=(4, 4), chunks=(4, 4))
+        built.data_path.unlink()
+        sp = compute_splits(built.schema, built.schema.whole_box(), built.data_path)[0]
+        with pytest.raises(StoreError, match="array 'A': cannot open its data file"):
+            read_split(sp)
+
+
+def _numpy_records(values, origin, region, predicate):
+    """A region's (coord, value) pairs in row-major order, by numpy slicing of
+    ``values``, whose first cell has coordinates ``origin``."""
+    view = values[
+        tuple(slice(l - o, h - o + 1) for l, h, o in zip(region.lo, region.hi, origin))
+    ]
+    keep = np.ones(view.shape, bool) if predicate is None else predicate.mask(view)
+    return [
+        (tuple(l + i for l, i in zip(region.lo, idx)), view[idx].item())
+        for idx in np.ndindex(view.shape)
+        if keep[idx]
+    ]
 
 
 def test_split_math_matches_numpy_reads(array_factory):
-    # byte ranges, decoded, must reproduce the numpy view of the same region
+    # every split's records must reproduce the numpy view of the same region
     built = array_factory(extents=(9, 5), chunks=(4, 2), fill="uniform", seed=11)
     box = BoundingBox((2, 1), (8, 4))
-    raw = built.data_path.read_bytes()
+    counters = Counters()
+    records = []
     for sp in compute_splits(built.schema, box, built.data_path):
-        expect = built.values[
-            sp.region.lo[0] : sp.region.hi[0] + 1, sp.region.lo[1] : sp.region.hi[1] + 1
-        ].ravel()
-        got = np.concatenate(
-            [
-                np.frombuffer(raw[off : off + length], dtype="<f8")
-                for off, length in sp.byte_ranges
-            ]
+        got = [tuple(r) for r in read_split(sp, None, counters)]
+        assert got == _numpy_records(built.values, (0, 0), sp.region, None)
+        records.extend(got)
+    assert len(records) == box.cell_count
+    assert counters.bytes_read == box.cell_count * 8
+    assert counters.map_input_records == box.cell_count
+
+
+_OPS = ("<", "<=", ">", ">=", "=", "<>")
+
+
+@st.composite
+def _block_case(draw):
+    """A 1-3-d schema with nonzero starts and ragged chunks, a box in it, its
+    values (float64, or int64 near +-2^62) and an optional two-term where."""
+    ndim = draw(st.integers(1, 3))
+    dims = []
+    for name in "xyz"[:ndim]:
+        start = draw(st.integers(-6, 6))
+        extent = draw(st.integers(1, 7))
+        chunk = draw(st.integers(1, extent))
+        dims.append(DimSpec(name, start, start + extent - 1, chunk))
+    element_type = draw(st.sampled_from(["float64", "int64"]))
+    schema = ArraySchema("P", element_type, "val", tuple(dims))
+    lo, hi = [], []
+    for d in dims:
+        a = draw(st.integers(d.start, d.end))
+        b = draw(st.integers(d.start, d.end))
+        lo.append(min(a, b))
+        hi.append(max(a, b))
+    n = schema.cell_count
+    if element_type == "float64":
+        cells = st.floats(-1e12, 1e12, allow_nan=False)
+    else:
+        cells = st.integers(-(2**62) - 1000, -(2**62) + 1000) | st.integers(
+            2**62 - 1000, 2**62 + 1000
         )
-        assert np.array_equal(got, expect)
-    assert math.isclose(float(built.values.sum()), float(built.values.sum()))
+    values = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=schema.dtype)
+    predicate = None
+    if draw(st.booleans()):
+        constants = st.sampled_from(values.tolist())
+        predicate = ValuePredicate(
+            tuple(
+                Comparison("val", draw(st.sampled_from(_OPS)), draw(constants))
+                for _ in range(2)
+            )
+        )
+    return schema, BoundingBox(tuple(lo), tuple(hi)), values.reshape(schema.extents), predicate
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_case())
+def test_block_read_matches_numpy(tmp_path_factory, case):
+    schema, box, values, predicate = case
+    path = tmp_path_factory.mktemp("block") / "P.bin"
+    path.write_bytes(values.tobytes())
+    origin = tuple(d.start for d in schema.dims)
+    counters = Counters()
+    got = []
+    for sp in compute_splits(schema, box, path):
+        got.extend(tuple(r) for r in read_split(sp, predicate, counters))
+    # splits in order, each row-major: the box's cells grouped by chunk
+    expect = [
+        record
+        for sp in compute_splits(schema, box)
+        for record in _numpy_records(values, origin, sp.region, predicate)
+    ]
+    assert got == expect
+    assert sorted(got) == sorted(_numpy_records(values, origin, box, predicate))
+    assert [tuple(map(type, c)) for c, _ in got] == [(int,) * schema.ndim] * len(got)
+    assert [type(v) for _, v in got] == [type(v) for _, v in expect]
+    assert counters.bytes_read == box.cell_count * 8
+    assert counters.map_input_records == len(expect)
