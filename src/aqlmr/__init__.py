@@ -16,6 +16,7 @@ from .aggregates import (
     AggregatorRegistry,
     AggSummary,
     Aggregator,
+    Summaries,
     default_registry,
     register_aggregator,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "SemanticError",
     "SlidingParams",
     "StoreError",
+    "Summaries",
     "ValuePredicate",
     "analyze",
     "build_membership",

@@ -10,18 +10,26 @@ value list and only run in naive mode, via holistic_result.
 The summary keeps a running aggregate and a count; aggregators that need a
 second accumulator (STDDEV's sum of squared deviations, custom ones) use the
 ext slot.
+
+The engine works on whole columns through four vector hooks: fold_groups
+(update_in_map for every (group, value) pair of a map task), merge_groups
+(update_in_reduce for every summary row of the shuffle), group_results
+(get_agg_result per group) and holistic_results (holistic_result per
+group). The base class derives each from the scalar hooks with a loop, so an
+aggregator that defines only the scalar hooks runs in both modes; the
+built-ins (builtin_aggregates.py) override them with numpy.
 """
 
 from __future__ import annotations
 
-import math
-import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 
 class AggregateError(Exception):
-    pass
+    group: int | None = None  # the group being aggregated, when known
 
 
 class AggregateDomainError(AggregateError):
@@ -39,13 +47,79 @@ class AggSummary:
     ext: float | int | None = None
 
 
-def _check_value(value: float | int) -> None:
-    if value != value:  # NaN
-        raise AggregateDataError("NaN value in input")
+@dataclass
+class Summaries:
+    """Summary rows in columns: row i is AggSummary(aggregate[i], count[i],
+    ext[i]) for group gid[i]. The built-ins keep float64 or int64 columns,
+    counts as float64 (exact below 2**53, and dividing by them casts
+    nothing); the scalar fallbacks keep object columns, which hold any
+    Python value."""
+
+    gid: np.ndarray
+    aggregate: np.ndarray
+    count: np.ndarray
+    ext: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.gid)
+
+    def rows(self) -> list[AggSummary]:
+        ext = [None] * len(self) if self.ext is None else self.ext.tolist()
+        return list(map(AggSummary, self.aggregate.tolist(), _counts(self.count), ext))
+
+    @classmethod
+    def from_rows(cls, gids: list[int], summaries: list[AggSummary]) -> "Summaries":
+        ext = [s.ext for s in summaries]
+        return cls(
+            np.array(gids, dtype=np.int64),
+            _objects([s.aggregate for s in summaries]),
+            _objects([s.count for s in summaries]),
+            None if all(e is None for e in ext) else _objects(ext),
+        )
+
+
+def _counts(column: np.ndarray) -> list:
+    """A count column as Python values (ints for the built-ins' floats)."""
+    counts = column.tolist()
+    return list(map(int, counts)) if column.dtype == np.float64 else counts
+
+
+def _objects(items: list) -> np.ndarray:
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
+def group_bounds(gids: np.ndarray) -> np.ndarray:
+    """Where each run of equal ids starts in ``gids`` (sorted), then len(gids)."""
+    if not len(gids):
+        return np.zeros(1, np.int64)
+    inner = np.flatnonzero(np.diff(gids)) + 1
+    return np.concatenate(([0], inner, [len(gids)]))
+
+
+def group_ids(gids: np.ndarray) -> np.ndarray:
+    """The distinct ids in ``gids``, ascending."""
+    if not len(gids):
+        return gids
+    lo, _, present = _span(gids)
+    return present + lo
+
+
+def _in_group(exc: AggregateError, gid) -> AggregateError:
+    exc.group = int(gid)
+    return exc
+
+
+def _span(gids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Group ids, in any order, as slots of the range they span: (lo, each
+    input's slot gid - lo, the slots some input reaches, ascending)."""
+    lo = int(gids.min())
+    row = gids - lo
+    return lo, row, np.flatnonzero(np.bincount(row))
 
 
 class Aggregator:
-    """Base aggregator; subclasses override the three-phase hooks."""
+    """Base aggregator; subclasses override the three-phase hooks, and may
+    override the vector hooks, whose defaults loop over the scalar ones."""
 
     name: str = ""
     algebraic: bool = True
@@ -66,173 +140,54 @@ class Aggregator:
     def holistic_result(self, values: Sequence[float | int]) -> float | int | None:
         raise AggregateError(f"{self.name} has no holistic evaluation")
 
+    def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
+        """update_in_map of each value into its group's summary, in input
+        order: one row per group present, by ascending id."""
+        acc: dict[int, AggSummary] = {}
+        identity, update = self.identity, self.update_in_map
+        for gid, value in zip(gids.tolist(), values.tolist()):
+            summary = acc.get(gid)
+            if summary is None:
+                summary = acc[gid] = identity()
+            try:
+                update(summary, value)
+            except AggregateError as exc:
+                raise _in_group(exc, gid)
+        ids = sorted(acc)
+        return Summaries.from_rows(ids, [acc[g] for g in ids])
 
-class Sum(Aggregator):
-    name = "sum"
+    def merge_groups(self, table: Summaries) -> Summaries:
+        """update_in_reduce of each group's rows, in row order: one row per
+        group present, by ascending id."""
+        acc: dict[int, AggSummary] = {}
+        for gid, other in zip(table.gid.tolist(), table.rows()):
+            summary = acc.get(gid)
+            if summary is None:
+                summary = acc[gid] = self.identity()
+            try:
+                self.update_in_reduce(summary, other)
+            except AggregateError as exc:
+                raise _in_group(exc, gid)
+        ids = sorted(acc)
+        return Summaries.from_rows(ids, [acc[g] for g in ids])
 
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        summary.aggregate += value
-        summary.count += 1
-        return summary
+    def group_results(self, table: Summaries) -> list:
+        """get_agg_result of each row."""
+        return [self.get_agg_result(s) for s in table.rows()]
 
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        summary.aggregate += other.aggregate
-        summary.count += other.count
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return summary.aggregate
-
-
-class Count(Aggregator):
-    name = "count"
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        summary.count += 1
-        return summary
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        summary.count += other.count
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        return summary.count
-
-
-class Avg(Sum):
-    name = "avg"
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return summary.aggregate / summary.count
-
-
-class Min(Aggregator):
-    name = "min"
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        if summary.count == 0 or value < summary.aggregate:
-            summary.aggregate = value
-        summary.count += 1
-        return summary
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        if other.count:
-            if summary.count == 0 or other.aggregate < summary.aggregate:
-                summary.aggregate = other.aggregate
-            summary.count += other.count
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return summary.aggregate
-
-
-class Max(Aggregator):
-    name = "max"
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        if summary.count == 0 or value > summary.aggregate:
-            summary.aggregate = value
-        summary.count += 1
-        return summary
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        if other.count:
-            if summary.count == 0 or other.aggregate > summary.aggregate:
-                summary.aggregate = other.aggregate
-            summary.count += other.count
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return summary.aggregate
-
-
-class StdDev(Aggregator):
-    """Population standard deviation, kept as (mean, count, M2) in the
-    aggregate, count and ext slots: Welford's update folds a value in, and
-    the pairwise formula of Chan, Golub and LeVeque merges two summaries.
-    Unlike a sum of squares, this keeps its precision at large offsets."""
-
-    name = "stddev"
-    uses_ext = True
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        summary.count += 1
-        delta = value - summary.aggregate
-        summary.aggregate += delta / summary.count
-        summary.ext += delta * (value - summary.aggregate)
-        return summary
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        n = summary.count + other.count
-        if n:
-            delta = other.aggregate - summary.aggregate
-            summary.aggregate += delta * (other.count / n)
-            summary.ext += other.ext + delta * delta * (summary.count * other.count / n)
-            summary.count = n
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return math.sqrt(summary.ext / summary.count)
-
-
-class GeoMean(Sum):
-    """Geometric mean via a running log sum; defined for positive values only.
-    Summaries merge as sums do."""
-
-    name = "geomean"
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        if value <= 0:
-            raise AggregateDomainError(
-                f"geomean needs positive values, got {value!r}"
-            )
-        summary.aggregate += math.log(value)
-        summary.count += 1
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return math.exp(summary.aggregate / summary.count)
-
-
-class Median(Aggregator):
-    """Holistic: needs every value, so it cannot be combined in the mapper."""
-
-    name = "median"
-    algebraic = False
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        raise AggregateError("median summaries cannot be folded; use holistic_result")
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        raise AggregateError("median summaries cannot be merged; use holistic_result")
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        raise AggregateError("median summaries cannot be finalized; use holistic_result")
-
-    def holistic_result(self, values: Sequence[float | int]) -> float | int | None:
-        if not values:
-            return None
-        for v in values:
-            _check_value(v)
-        return statistics.median(values)
+    def holistic_results(self, gids: np.ndarray, values: np.ndarray) -> list:
+        """holistic_result of each group's values, in input order, for each
+        group by ascending id."""
+        order = np.argsort(gids, kind="stable")
+        gids, vals = gids[order], values[order].tolist()
+        bounds = group_bounds(gids).tolist()
+        out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            try:
+                out.append(self.holistic_result(vals[lo:hi]))
+            except AggregateError as exc:
+                raise _in_group(exc, gids[lo])
+        return out
 
 
 class AggregatorRegistry:
@@ -269,8 +224,10 @@ _DEFAULT: AggregatorRegistry | None = None
 def default_registry() -> AggregatorRegistry:
     global _DEFAULT
     if _DEFAULT is None:
+        from .builtin_aggregates import BUILTINS
+
         registry = AggregatorRegistry()
-        for cls in (Sum, Count, Avg, Min, Max, StdDev, GeoMean, Median):
+        for cls in BUILTINS:
             registry.register(cls())
         _DEFAULT = registry
     return _DEFAULT

@@ -24,6 +24,7 @@ from pathlib import Path
 from .aggregates import AggregateError, default_registry
 from .engine import EngineError, run_job
 from .frontend import ParseError, SemanticError, analyze, explain, parse
+from .frontend.parser import parse_int
 from .grouping import group_extent
 from .planner import (
     ConfigError,
@@ -59,9 +60,10 @@ def _dim_names(ndim: int, spec: str | None) -> list[str]:
 
 
 def _parse_sizes(text: str, what: str) -> list[int]:
+    # each size is read as query text reads an integer: "+8" and "1_6" fail
     try:
-        sizes = [int(part) for part in text.lower().split("x")]
-    except ValueError:
+        sizes = [parse_int(part) for part in text.lower().split("x")]
+    except ParseError:
         raise StoreError(f"bad {what} {text!r} (want e.g. 1024x1024)") from None
     if not sizes or any(s < 1 for s in sizes):
         raise StoreError(f"bad {what} {text!r} (sizes must be >= 1)")

@@ -1,8 +1,9 @@
 """Embedded map/shuffle/reduce executor for planned jobs.
 
-A job runs as one serial pass: every split is mapped in split order, the
-shuffle sorts the map outputs stably by group id (so values inside a group
-keep split-then-emission order), and each group is reduced in group-id order.
+A job runs as one serial pass over whole columns: every split is mapped in
+split order, the shuffle concatenates the map outputs in that order, and the
+reduce folds every group at once, adding rows into each group in
+(split, emission) order, so results are the same from run to run.
 The ``workers`` count is still accepted and validated, so saved parameter
 files and scripts keep working, but it does not change execution: results and
 counters are the same for any value.
@@ -16,15 +17,23 @@ extension slot), and records entering reducers.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
-from itertools import groupby
-from operator import itemgetter
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
-from .aggregates import AggregateError, Aggregator, AggregatorRegistry, default_registry
-from .grouping import build_membership
+import numpy as np
+
+from .aggregates import (
+    AggregateError,
+    Aggregator,
+    AggregatorRegistry,
+    Summaries,
+    default_registry,
+    group_bounds,
+    group_ids,
+)
+from .grouping import Membership, build_membership
 from .planner import JobPlan
-from .storage import ArraySplit, StoreError, compute_splits, read_split
+from .storage import ArraySplit, StoreError, compute_splits, read_block
 
 KEY_BYTES = 8
 RAW_VALUE_BYTES = 8
@@ -63,63 +72,120 @@ class JobResult:
     timings: dict[str, float] = field(default_factory=dict)
 
 
+@dataclass
+class Pairs:
+    """(group id, raw value) rows in columns, as a naive map task emits them."""
+
+    gid: np.ndarray
+    value: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.gid)
+
+    def rows(self) -> list:
+        return self.value.tolist()
+
+
+def _take(table, index):
+    """The rows of a Pairs or Summaries table at ``index``."""
+    return type(table)(
+        *(None if c is None else c[index] for c in (getattr(table, f.name) for f in fields(table)))
+    )
+
+
+def _concat(tables: list):
+    """The rows of one or more tables of the same type, table after table."""
+    # an empty table's columns may have another dtype (np.bincount of
+    # nothing is int64), which would only cast the others
+    tables = [t for t in tables if len(t)] or tables[:1]
+    columns = []
+    for f in fields(tables[0]):
+        parts = [getattr(t, f.name) for t in tables]
+        if all(p is None for p in parts):
+            columns.append(None)
+        else:  # an ext column only some tables have is None in the others
+            columns.append(
+                np.concatenate(
+                    [np.full(len(t), None, object) if p is None else p for t, p in zip(tables, parts)]
+                )
+            )
+    return type(tables[0])(*columns)
+
+
+def _emit(split: ArraySplit, membership: Membership, predicate, counters: Counters):
+    """The (group id, value) pair of every membership of the split's kept
+    cells, in columns."""
+    block, keep = read_block(split, predicate, counters)
+    cells, gids = membership.block(split.region, keep)
+    return gids, block.ravel()[cells]
+
+
 def naive_map(
     split: ArraySplit,
-    membership,
+    membership: Membership,
     predicate,
     counters: Counters,
-) -> list[tuple[int, float | int]]:
+) -> Pairs:
     """Emit one (group id, value) pair per group the cell belongs to."""
-    out: list[tuple[int, float | int]] = []
-    for coord, value in read_split(split, predicate, counters):
-        for gid in membership(coord):
-            out.append((gid, value))
+    out = Pairs(*_emit(split, membership, predicate, counters))
     counters.add("map_output_records", len(out))
     return out
 
 
 def optimized_map(
     split: ArraySplit,
-    membership,
+    membership: Membership,
     agg: Aggregator,
     predicate,
     counters: Counters,
-) -> list[tuple[int, Any]]:
+) -> Summaries:
     """Fold values into one summary per group seen in this split."""
-    acc: dict[int, Any] = {}
-    update = agg.update_in_map
-    identity = agg.identity
-    for coord, value in read_split(split, predicate, counters):
-        for gid in membership(coord):
-            summary = acc.get(gid)
-            if summary is None:
-                summary = acc[gid] = identity()
-            update(summary, value)
-    out = sorted(acc.items())
+    gids, values = _emit(split, membership, predicate, counters)
+    # a split that reaches no group folds nothing
+    out = agg.fold_groups(gids, values) if len(gids) else Summaries(gids, values, gids)
     counters.add("map_output_records", len(out))
     return out
 
 
+@dataclass
+class Shuffled:
+    """The shuffle's output: every map output row (Pairs or Summaries) in
+    (split, emission) order, and how many groups they reach. Reducing needs
+    no sort (group sums accumulate in row order), so rows are grouped only
+    when iterated: that yields (gid, items) for each group by ascending id,
+    items being raw values (naive) or AggSummary objects (optimized) in
+    (split, emission) order."""
+
+    rows: Pairs | Summaries
+    groups: int
+
+    def __len__(self) -> int:
+        return self.groups
+
+    def __iter__(self):
+        rows = _take(self.rows, np.argsort(self.rows.gid, kind="stable"))
+        items = rows.rows()
+        bounds = group_bounds(rows.gid)
+        gids = rows.gid[bounds[:-1]].tolist()
+        bounds = bounds.tolist()
+        for gid, lo, hi in zip(gids, bounds, bounds[1:]):
+            yield gid, items[lo:hi]
+
+
 def shuffle(
-    map_outputs: Sequence[list[tuple[int, Any]]],
+    map_outputs: Sequence[Pairs | Summaries],
     counters: Counters,
     *,
     value_bytes: int,
-) -> list[tuple[int, list[Any]]]:
+) -> Shuffled:
     """Group map outputs by key.
 
-    Inputs arrive ordered by split; the sort is stable, so each group's value
-    list is ordered by (split, emission order).
+    Inputs arrive ordered by split and keep that order, so each group's rows
+    are ordered by (split, emission order).
     """
-    pairs: list[tuple[int, Any]] = []
-    for part in map_outputs:
-        pairs.extend(part)
-    pairs.sort(key=itemgetter(0))
-    counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(pairs))
-    grouped = [
-        (gid, [value for _, value in items])
-        for gid, items in groupby(pairs, key=itemgetter(0))
-    ]
+    rows = _concat(map_outputs)
+    counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(rows))
+    grouped = Shuffled(rows, len(group_ids(rows.gid)))
     counters.add("shuffle_groups", len(grouped))
     return grouped
 
@@ -143,6 +209,17 @@ def optimized_reduce(gid: int, summaries: list[Any], agg: Aggregator) -> float |
 
 def summary_value_bytes(agg: Aggregator) -> int:
     return SUMMARY_EXT_BYTES if agg.uses_ext else SUMMARY_BYTES
+
+
+def _reduce(rows: Pairs | Summaries, agg: Aggregator) -> tuple[np.ndarray, list]:
+    """Every group's result at once: (group ids, results)."""
+    if isinstance(rows, Summaries):
+        merged = agg.merge_groups(rows)
+        return merged.gid, agg.group_results(merged)
+    if agg.algebraic:
+        folded = agg.fold_groups(rows.gid, rows.value)
+        return folded.gid, agg.group_results(folded)
+    return group_ids(rows.gid), agg.holistic_results(rows.gid, rows.value)
 
 
 def run_job(
@@ -186,27 +263,27 @@ def run_job(
     t1 = time.perf_counter()
 
     value_bytes = summary_value_bytes(agg) if optimized else RAW_VALUE_BYTES
-    grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
+    rows = shuffle(map_outputs, counters, value_bytes=value_bytes).rows
+    del map_outputs  # the shuffled rows are a copy
     t2 = time.perf_counter()
 
-    reduce_fn = optimized_reduce if optimized else naive_reduce
-    values: list[float | int | None] = [None] * plan.geometry.group_count
-    for gid, group_values in grouped:
-        if not 0 <= gid < len(values):
-            raise EngineError(f"group id {gid} outside geometry (0..{len(values) - 1})")
-        counters.add("reduce_input_records", len(group_values))
+    group_count = plan.geometry.group_count
+    counters.add("reduce_input_records", len(rows))
+    values: list[float | int | None] = [None] * group_count
+    if len(rows):
+        if not (0 <= rows.gid.min() and rows.gid.max() < group_count):
+            raise EngineError(f"group id outside geometry (0..{group_count - 1})")
         try:
-            values[gid] = reduce_fn(gid, group_values, agg)
+            gids, results = _reduce(rows, agg)
         except AggregateError as exc:
-            raise EngineError(f"reduce (group {gid}): {exc}") from exc
+            where = "reduce" if exc.group is None else f"reduce (group {exc.group})"
+            raise EngineError(f"{where}: {exc}") from exc
+        if len(results) == group_count:
+            values = results  # every group has a result, in group order
+        else:
+            for gid, value in zip(gids.tolist(), results):
+                values[gid] = value
     t3 = time.perf_counter()
-
-    if counters.reduce_input_records != counters.map_output_records:
-        raise EngineError(
-            "record conservation violated: map emitted "
-            f"{counters.map_output_records} records but reducers received "
-            f"{counters.reduce_input_records}"
-        )
 
     return JobResult(
         values=values,

@@ -7,6 +7,8 @@ A split is one chunk clipped to the query box, and reading it fills one n-d
 block with exactly the region's cells, one row segment at a time, so a scan
 never reads bytes outside its box. The value filter is applied to the whole
 block at once. Each read checks the data file's size against the metadata.
+read_block returns the block and the filter's mask, for the engine;
+read_split yields the kept cells one record at a time.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ def load_schema(metadata_path: Path | str) -> ArraySchema:
         raise StoreError(f"malformed metadata {path}: unsupported order {order!r}")
     try:
         dims = tuple(
-            DimSpec(str(d["name"]), int(d["start"]), int(d["end"]), int(d["chunk"]))
+            DimSpec(str(d["name"]), *(_json_int(d, key, path) for key in ("start", "end", "chunk")))
             for d in doc["dims"]
         )
         return ArraySchema(
@@ -200,6 +202,18 @@ def load_schema(metadata_path: Path | str) -> ArraySchema:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed metadata {path}: missing or bad field ({exc})") from exc
+
+
+def _json_int(dim: dict, key: str, path: Path) -> int:
+    """A dimension field, which must be a JSON integer: 7.9, "1_5" or true
+    would otherwise load as some other bound than the file was written for."""
+    value = dim[key]
+    if type(value) is not int:
+        raise StoreError(
+            f"malformed metadata {path}: dimension field {key!r} must be an integer, "
+            f"got {value!r}"
+        )
+    return value
 
 
 def save_schema(schema: ArraySchema, metadata_path: Path | str) -> Path:
@@ -342,22 +356,22 @@ def _read_block(split: ArraySplit) -> np.ndarray:
     first = sum((l - d.start) * s for l, d, s in zip(region.lo, schema.dims, strides))
     outer = np.ix_(*(np.arange(n) * s for n, s in zip(region.shape[:-1], strides[:-1])))
     offsets = ((first + sum(outer, np.zeros((), np.int64))) * ELEMENT_SIZE).ravel()
-    # readinto, not np.memmap: a file cut short during the read must raise
-    # StoreError, where a memory map would die of SIGBUS
+    # one positioned read per row, not np.memmap: a file cut short during
+    # the read must raise StoreError, where a memory map would die of SIGBUS
     try:
-        f = open(split.data_path, "rb")
+        f = open(split.data_path, "rb", buffering=0)
     except OSError as exc:
         raise StoreError(f"array {schema.name!r}: cannot open its data file: {exc}") from exc
     with f:
-        size = os.fstat(f.fileno()).st_size
+        fd = f.fileno()
+        size = os.fstat(fd).st_size
         if size != schema.nbytes:
             raise StoreError(
                 f"{split.data_path} holds {size} bytes where {schema.nbytes} are "
                 "expected: data file does not match metadata"
             )
         for row, offset in zip(rows, offsets.tolist()):
-            f.seek(offset)
-            if f.readinto(row) != row.nbytes:
+            if os.preadv(fd, [row], offset) != row.nbytes:
                 raise StoreError(
                     f"short read at offset {offset} in {split.data_path}: "
                     "data file does not match metadata"
@@ -365,27 +379,39 @@ def _read_block(split: ArraySplit) -> np.ndarray:
     return block
 
 
+def read_block(
+    split: ArraySplit,
+    predicate: ValuePredicate | None = None,
+    counters: "Counters | None" = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The split's region as an n-d array, and the predicate's mask over it
+    (None without a predicate).
+
+    bytes_read counts every byte of the region regardless of the predicate;
+    map_input_records counts only the cells the mask keeps.
+    """
+    block = _read_block(split)
+    keep = None if predicate is None else predicate.mask(block)
+    if counters is not None:
+        counters.add("bytes_read", block.nbytes)
+        counters.add("map_input_records", block.size if keep is None else int(np.count_nonzero(keep)))
+    return block, keep
+
+
 def read_split(
     split: ArraySplit,
     predicate: ValuePredicate | None = None,
     counters: "Counters | None" = None,
 ) -> Iterator[CellRecord]:
-    """The split's cells that pass the predicate, in row-major order.
-
-    The region is read whole before this returns. bytes_read counts every
-    byte of it regardless of the predicate; map_input_records counts only
-    the cells returned.
-    """
-    block = _read_block(split)
+    """The split's cells that pass the predicate, in row-major order, with
+    counters as read_block keeps them. The region is read whole before this
+    returns."""
+    block, keep = read_block(split, predicate, counters)
     region = split.region
-    if predicate is None:
+    if keep is None:
         coords = product(*(range(l, h + 1) for l, h in zip(region.lo, region.hi)))
         values = block.ravel().tolist()
     else:
-        keep = predicate.mask(block)
         coords = zip(*((i + l).tolist() for i, l in zip(np.nonzero(keep), region.lo)))
         values = block[keep].tolist()
-    if counters is not None:
-        counters.add("bytes_read", block.nbytes)
-        counters.add("map_input_records", len(values))
     return map(CellRecord, coords, values)

@@ -22,17 +22,17 @@ _OPS = {
 
 
 def aggregate_direct(name: str, vals: np.ndarray):
-    """Aggregate a flat value array with the obvious closed-form recipe."""
+    """Aggregate a flat value array with the obvious closed-form recipe.
+    Integer sums and means use Python ints, which do not wrap at 2**63."""
     name = name.lower()
     if name == "count":
         return int(vals.size)
     if vals.size == 0:
         return None
     if name == "sum":
-        total = vals.sum()
-        return int(total) if vals.dtype.kind == "i" else float(total)
+        return sum(vals.tolist()) if vals.dtype.kind == "i" else float(vals.sum())
     if name == "avg":
-        return float(vals.mean())
+        return sum(vals.tolist()) / vals.size if vals.dtype.kind == "i" else float(vals.mean())
     if name == "min":
         v = vals.min()
         return int(v) if vals.dtype.kind == "i" else float(v)

@@ -97,6 +97,17 @@ class TestGenData:
         assert rc == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dims,chunk", [("1_6x+8", "4x4"), ("16x8", "4x+4"), ("16x8.0", "4x4"), ("16x0x8", "4x4x4")]
+    )
+    def test_sizes_use_query_integers(self, tmp_path, capsys, dims, chunk):
+        rc = main(
+            ["gen-data", "--name", "A", "--dims", dims, "--chunk", chunk, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 4
+        assert "bad --" in capsys.readouterr().err
+        assert not (tmp_path / "A.bin").exists()
+
     def test_custom_names_and_type(self, tmp_path):
         rc = main(
             [

@@ -82,6 +82,18 @@ class TestSchema:
         with pytest.raises(StoreError, match="malformed"):
             load_schema(p)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("end", 7.9), ("end", "1_5"), ("start", "+0"), ("chunk", 4.5), ("chunk", True)],
+    )
+    def test_dimension_fields_must_be_json_integers(self, tmp_path, field, value):
+        dim = {"name": "x", "start": 0, "end": 15, "chunk": 4, field: value}
+        doc = {"name": "A", "element_type": "float64", "attribute": "val", "dims": [dim]}
+        p = tmp_path / "A.meta.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(StoreError, match=f"malformed metadata .*'{field}'"):
+            load_schema(p)
+
     def test_rejects_non_row_major(self, tmp_path):
         p = tmp_path / "col.meta.json"
         p.write_text(
