@@ -78,10 +78,10 @@ class Summaries:
         )
 
 
-def _counts(column: np.ndarray) -> list:
-    """A count column as Python values (ints for the built-ins' floats)."""
-    counts = column.tolist()
-    return list(map(int, counts)) if column.dtype == np.float64 else counts
+def _counts(column: np.ndarray) -> list[int]:
+    """A count column as Python ints, whatever its dtype: a float64 column
+    concatenated with object ones leaves Python floats among the ints."""
+    return list(map(int, column.tolist()))
 
 
 def _objects(items: list) -> np.ndarray:

@@ -5,11 +5,10 @@ Each has the scalar hooks of aggregates.Aggregator and numpy vector hooks.
 The algebraic ones fold a value in by merging a one-value summary, so one
 merge per aggregator serves the map and the reduce. Sums accumulate in input
 order (np.bincount, np.add.at), so float results equal a sequential fold;
-int64 sums that could overflow, object columns and rows counting no values
-go through the scalar loop, in Python ints. The code sticks to a few numpy
-kernels (bincount, ufunc.at, stable argsort, cumsum, repeat and indexing):
-each new kernel maps more of numpy's code into every process that runs a
-query.
+int64 sums that could overflow and object columns go through the scalar
+loop, in Python ints. The code sticks to a few numpy kernels (bincount,
+ufunc.at, stable argsort, cumsum, repeat and indexing): each new kernel maps
+more of numpy's code into every process that runs a query.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ def _sums(row: np.ndarray, size: int, column: np.ndarray) -> np.ndarray | None:
 class _Columnar(Aggregator):
     """A built-in with numpy vector hooks. Folding a value in is merging a
     one-value summary, so fold_groups merges a table of those. merge_groups
-    falls back to the scalar loop for object columns, rows that count no
-    values and int64 sums that could overflow."""
+    falls back to the scalar loop for object columns and int64 sums that
+    could overflow."""
 
     def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
         _reject_nan(gids, values)
@@ -86,7 +85,6 @@ class _Columnar(Aggregator):
             table.aggregate.dtype.kind in "fi"
             and table.count.dtype == np.float64
             and (table.ext is None or table.ext.dtype == np.float64)
-            and bool(table.count.all())
         ):
             lo, row, present = _span(table.gid)
             merged = self._merge(row, int(present[-1]) + 1, table)
@@ -303,7 +301,7 @@ class GeoMean(Sum):
     def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
         bad = np.flatnonzero(~(values > 0))  # NaN fails the test too
         if len(bad):
-            first = _first(gids, bad)
+            first = bad[0]  # the value a fold in input order meets first
             try:  # the scalar hook names the value
                 self.update_in_map(self.identity(), values[first].item())
             except AggregateError as exc:

@@ -217,7 +217,14 @@ def _reduce(rows: Pairs | Summaries, agg: Aggregator) -> tuple[np.ndarray, list]
         merged = agg.merge_groups(rows)
         return merged.gid, agg.group_results(merged)
     if agg.algebraic:
-        folded = agg.fold_groups(rows.gid, rows.value)
+        try:
+            folded = agg.fold_groups(rows.gid, rows.value)
+        except AggregateError:
+            # a reducer folds group by group and meets the lowest group's bad
+            # value first: fold again in stable group order to raise that one
+            order = np.argsort(rows.gid, kind="stable")
+            agg.fold_groups(rows.gid[order], rows.value[order])
+            raise
         return folded.gid, agg.group_results(folded)
     return group_ids(rows.gid), agg.holistic_results(rows.gid, rows.value)
 

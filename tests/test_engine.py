@@ -73,6 +73,18 @@ class TestGridJobs:
             result = run_query(built, text, mode)
             assert result.values == expected  # integer sums are exact
 
+    @pytest.mark.parametrize("mode", ["naive", "optimized"])
+    def test_int64_avg_is_correctly_rounded(self, array_factory, mode):
+        # the two-cell split could overflow an int64 sum and folds in Python
+        # ints, the one-cell split folds in numpy; the average is still the
+        # exact sum over the exact count, rounded once (float(sum) / 3 is not)
+        values = np.array([2**62 + 911, 2**62 + 430, 2**62 + 41], dtype=np.int64)
+        built = array_factory(element_type="int64", extents=(3,), chunks=(2,), values=values)
+        result = run_query(built, "select avg(val) from A grid as (partition by x 3)", mode)
+        total = sum(values.tolist())
+        assert float(total) / 3 != total / 3
+        assert result.values == [total / 3]
+
     def test_naive_counter_laws(self, array_factory):
         built = array_factory(extents=(12, 12), chunks=(5, 5))
         result = run_query(
@@ -307,6 +319,18 @@ class TestErrors:
         built = array_factory(extents=(4, 4), chunks=(4, 4), fill="ramp")  # contains 0
         with pytest.raises(EngineError, match="positive"):
             run_query(built, "select geomean(val) from A grid as (partition by x 2, y 2)")
+
+    def test_geomean_names_the_value_each_mode_meets_first(self, array_factory):
+        # row-major, the map meets -1 (group 1) before -2 (group 0); the
+        # naive reduce goes group by group and meets -2 first
+        vals = np.ones((2, 4))
+        vals[0, 2], vals[1, 0] = -1.0, -2.0
+        built = array_factory(extents=(2, 4), chunks=(2, 4), values=vals)
+        text = "select geomean(val) from A grid as (partition by x 2, y 2)"
+        with pytest.raises(EngineError, match=r"map task \(split 0\): .*got -1\.0"):
+            run_query(built, text, "optimized")
+        with pytest.raises(EngineError, match=r"reduce \(group 0\): .*got -2\.0"):
+            run_query(built, text, "naive")
 
     def test_missing_data_file(self, array_factory):
         built = array_factory(extents=(4, 4), chunks=(2, 2))

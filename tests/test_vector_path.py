@@ -106,7 +106,8 @@ def make_values(case) -> np.ndarray:
     shape = case["extents"]
     if case["ints"]:
         sign = -1 if case["negative"] else 1
-        return sign * (2**62 - rng.integers(0, 1000, shape))
+        # on both sides of 2**62: two values can trip the int64 overflow guard, one cannot
+        return sign * (2**62 + rng.integers(-1000, 1000, shape))
     return 1e15 + rng.random(shape) * case["noise"]
 
 
@@ -167,8 +168,9 @@ def test_run_job_matches_oracle(tmp_path_factory, case):
         want = aggregate_direct(case["agg"], group)
         if case["agg"] == "stddev":
             assert_stddev_close(got, want, group, context)
-        elif case["ints"] and case["agg"] in ("sum", "count", "min", "max"):
-            assert type(got) is int and got == want, f"{context}: {got!r} != {want!r}"
+        elif case["ints"] and case["agg"] in ("sum", "count", "min", "max", "avg"):
+            # exact: Python ints, and AVG the exact sum over the count, rounded once
+            assert type(got) is type(want) and got == want, f"{context}: {got!r} != {want!r}"
         else:
             assert_close(got, want, context=context)
 
