@@ -16,8 +16,9 @@ The engine works on whole columns through four vector hooks: fold_groups
 (update_in_reduce for every summary row of the shuffle), group_results
 (get_agg_result per group) and holistic_results (holistic_result per
 group). The base class derives each from the scalar hooks with a loop, so an
-aggregator that defines only the scalar hooks runs in both modes; the
-built-ins (builtin_aggregates.py) override them with numpy.
+aggregator that defines only the scalar hooks runs in both modes. Only
+custom aggregators take that loop: the built-ins (builtin_aggregates.py)
+override the vector hooks with numpy.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ class AggSummary:
 @dataclass
 class Summaries:
     """Summary rows in columns: row i is AggSummary(aggregate[i], count[i],
-    ext[i]) for group gid[i]. The built-ins keep float64 or int64 columns,
+    ext[i]) for group gid[i]. The built-ins keep float64 or int64 columns
+    (object columns of Python ints for int64 sums that could overflow) and
     counts as float64 (exact below 2**53, and dividing by them casts
-    nothing); the scalar fallbacks keep object columns, which hold any
-    Python value."""
+    nothing); the scalar loop, which only custom aggregators take, keeps
+    object columns, which hold any Python value."""
 
     gid: np.ndarray
     aggregate: np.ndarray
@@ -79,8 +81,8 @@ class Summaries:
 
 
 def _counts(column: np.ndarray) -> list[int]:
-    """A count column as Python ints, whatever its dtype: a float64 column
-    concatenated with object ones leaves Python floats among the ints."""
+    """A count column as Python ints, whatever its dtype (the built-ins
+    count in float64, the scalar loop in Python ints)."""
     return list(map(int, column.tolist()))
 
 
@@ -143,29 +145,21 @@ class Aggregator:
     def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
         """update_in_map of each value into its group's summary, in input
         order: one row per group present, by ascending id."""
-        acc: dict[int, AggSummary] = {}
-        identity, update = self.identity, self.update_in_map
-        for gid, value in zip(gids.tolist(), values.tolist()):
-            summary = acc.get(gid)
-            if summary is None:
-                summary = acc[gid] = identity()
-            try:
-                update(summary, value)
-            except AggregateError as exc:
-                raise _in_group(exc, gid)
-        ids = sorted(acc)
-        return Summaries.from_rows(ids, [acc[g] for g in ids])
+        return self._accumulate(gids.tolist(), values.tolist(), self.update_in_map)
 
     def merge_groups(self, table: Summaries) -> Summaries:
         """update_in_reduce of each group's rows, in row order: one row per
         group present, by ascending id."""
+        return self._accumulate(table.gid.tolist(), table.rows(), self.update_in_reduce)
+
+    def _accumulate(self, gids: list[int], items: list, update) -> Summaries:
         acc: dict[int, AggSummary] = {}
-        for gid, other in zip(table.gid.tolist(), table.rows()):
+        for gid, item in zip(gids, items):
             summary = acc.get(gid)
             if summary is None:
                 summary = acc[gid] = self.identity()
             try:
-                self.update_in_reduce(summary, other)
+                update(summary, item)
             except AggregateError as exc:
                 raise _in_group(exc, gid)
         ids = sorted(acc)

@@ -1,14 +1,17 @@
 """The built-in aggregators: SUM, COUNT, AVG, MIN, MAX, STDDEV, GEOMEAN
 and MEDIAN.
 
-Each has the scalar hooks of aggregates.Aggregator and numpy vector hooks.
-The algebraic ones fold a value in by merging a one-value summary, so one
-merge per aggregator serves the map and the reduce. Sums accumulate in input
-order (np.bincount, np.add.at), so float results equal a sequential fold;
-int64 sums that could overflow and object columns go through the scalar
-loop, in Python ints. The code sticks to a few numpy kernels (bincount,
-ufunc.at, stable argsort, cumsum, repeat and indexing): each new kernel maps
-more of numpy's code into every process that runs a query.
+Each has the scalar hooks of aggregates.Aggregator and numpy vector hooks,
+and the engine calls only the vector ones (and GEOMEAN's get_agg_result);
+the scalar loop of the base class serves custom aggregators alone. The
+algebraic ones fold a value in by merging a one-value summary, so one merge
+law per aggregator serves the map and the reduce, written once as a scalar
+update_in_reduce and once over columns. Sums accumulate in input order
+(np.bincount, np.add.at), so float results equal a sequential fold; int64
+sums are exact, switching to Python ints where they could overflow. The code
+sticks to a few numpy kernels (bincount, ufunc.at, stable argsort, cumsum,
+repeat and indexing): each new kernel maps more of numpy's code into every
+process that runs a query.
 """
 
 from __future__ import annotations
@@ -52,25 +55,27 @@ def _reject_nan(gids: np.ndarray, values: np.ndarray) -> None:
             raise _in_group(AggregateDataError("NaN value in input"), gids[_first(gids, bad)])
 
 
-def _sums(row: np.ndarray, size: int, column: np.ndarray) -> np.ndarray | None:
-    """Per-group sums of a column in input order, or None when an int64 sum
-    could overflow (max |v| * len >= 2**63) or the column holds objects."""
+def _sums(row: np.ndarray, size: int, column: np.ndarray) -> np.ndarray:
+    """Per-group sums of a column in input order. Integer sums are exact: in
+    int64 while max |v| * len < 2**63, else in Python ints (an object
+    column), which do not wrap."""
     if column.dtype == np.float64:
         return np.bincount(row, weights=column, minlength=size)
-    if column.dtype != np.int64 or (
-        len(column) and max(-int(column.min()), int(column.max())) * len(column) >= 2**63
-    ):
-        return None
-    out = np.zeros(size, np.int64)
+    if column.dtype != np.int64 or max(-int(column.min()), int(column.max())) * len(column) >= 2**63:
+        column = column.astype(object)
+    out = np.zeros(size, column.dtype)
     np.add.at(out, row, column)
     return out
 
 
 class _Columnar(Aggregator):
     """A built-in with numpy vector hooks. Folding a value in is merging a
-    one-value summary, so fold_groups merges a table of those. merge_groups
-    falls back to the scalar loop for object columns and int64 sums that
-    could overflow."""
+    one-value summary, in the scalar hooks as in the vector ones, so each
+    built-in states its merge law once per form."""
+
+    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
+        _check_value(value)
+        return self.update_in_reduce(summary, AggSummary(value, 1, 0 if self.uses_ext else None))
 
     def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
         _reject_nan(gids, values)
@@ -80,39 +85,22 @@ class _Columnar(Aggregator):
     def merge_groups(self, table: Summaries) -> Summaries:
         if not len(table):
             return table
-        merged = None
-        if (
-            table.aggregate.dtype.kind in "fi"
-            and table.count.dtype == np.float64
-            and (table.ext is None or table.ext.dtype == np.float64)
-        ):
-            lo, row, present = _span(table.gid)
-            merged = self._merge(row, int(present[-1]) + 1, table)
-        if merged is None:
-            return super().merge_groups(table)
-        columns = (None if c is None else c[present] for c in merged)
-        return Summaries(present + lo, *columns)
+        lo, row, present = _span(table.gid)
+        merged = self._merge(row, int(present[-1]) + 1, table)
+        return Summaries(present + lo, *(None if c is None else c[present] for c in merged))
 
     def _merge(self, row: np.ndarray, size: int, table: Summaries):
-        """The merged (aggregate, count, ext) columns of a numeric table,
-        indexed by slot (row i goes to slot row[i] < size), or None to use
-        the scalar loop. Slots no row reaches hold anything."""
+        """The merged (aggregate, count, ext) columns of a table, indexed by
+        slot (row i goes to slot row[i] < size). Slots no row reaches hold
+        anything."""
         raise NotImplementedError
 
     def group_results(self, table: Summaries) -> list:
-        if table.count.dtype != np.float64:
-            return super().group_results(table)
         return table.aggregate.tolist()
 
 
 class Sum(_Columnar):
     name = "sum"
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        summary.aggregate += value
-        summary.count += 1
-        return summary
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         summary.aggregate += other.aggregate
@@ -125,17 +113,11 @@ class Sum(_Columnar):
         return summary.aggregate
 
     def _merge(self, row, size, table):
-        sums = _sums(row, size, table.aggregate)
-        return None if sums is None else (sums, _sums(row, size, table.count), None)
+        return _sums(row, size, table.aggregate), _sums(row, size, table.count), None
 
 
 class Count(_Columnar):
     name = "count"
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        summary.count += 1
-        return summary
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         summary.count += other.count
@@ -160,27 +142,21 @@ class Avg(Sum):
         return summary.aggregate / summary.count
 
     def group_results(self, table: Summaries) -> list:
-        if table.aggregate.dtype != np.float64 or table.count.dtype != np.float64:
-            # Python's int / int is correctly rounded; int64 -> float64 first is not
-            return Aggregator.group_results(self, table)
-        return (table.aggregate / table.count).tolist()
+        if table.aggregate.dtype == np.float64:
+            return (table.aggregate / table.count).tolist()
+        # Python's int / int is correctly rounded; int64 -> float64 first is not
+        return [s / n for s, n in zip(table.aggregate.tolist(), _counts(table.count))]
 
 
 class Min(_Columnar):
     name = "min"
     _largest = False
 
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        if summary.count == 0 or value < summary.aggregate:
-            summary.aggregate = value
-        summary.count += 1
-        return summary
-
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         if other.count:
-            if summary.count == 0 or other.aggregate < summary.aggregate:
-                summary.aggregate = other.aggregate
+            new, old = other.aggregate, summary.aggregate
+            if summary.count == 0 or (new > old if self._largest else new < old):
+                summary.aggregate = new
             summary.count += other.count
         return summary
 
@@ -206,26 +182,13 @@ class Max(Min):
     name = "max"
     _largest = True
 
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        if summary.count == 0 or value > summary.aggregate:
-            summary.aggregate = value
-        summary.count += 1
-        return summary
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        if other.count:
-            if summary.count == 0 or other.aggregate > summary.aggregate:
-                summary.aggregate = other.aggregate
-            summary.count += other.count
-        return summary
-
 
 class StdDev(_Columnar):
     """Population standard deviation, kept as (mean, count, M2) in the
-    aggregate, count and ext slots: Welford's update folds a value in, and
-    the pairwise formula of Chan, Golub and LeVeque merges two summaries.
-    Unlike a sum of squares, this keeps its precision at large offsets.
+    aggregate, count and ext slots. Summaries merge by the pairwise formula
+    of Chan, Golub and LeVeque; folding a value in merges (value, 1, 0),
+    which is Welford's update. Unlike a sum of squares, this keeps its
+    precision at large offsets.
 
     The vector hooks merge a whole group at once: M2 adds the rows' M2 and
     their squared deviations from the group's mean, both taken from one
@@ -234,14 +197,6 @@ class StdDev(_Columnar):
 
     name = "stddev"
     uses_ext = True
-
-    def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
-        _check_value(value)
-        summary.count += 1
-        delta = value - summary.aggregate
-        summary.aggregate += delta / summary.count
-        summary.ext += delta * (value - summary.aggregate)
-        return summary
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         n = summary.count + other.count
@@ -272,8 +227,6 @@ class StdDev(_Columnar):
             return ref + shift, n, m2
 
     def group_results(self, table: Summaries) -> list:
-        if table.ext is None or table.ext.dtype != np.float64:
-            return Aggregator.group_results(self, table)
         return np.sqrt(table.ext / table.count).tolist()
 
 
@@ -289,9 +242,7 @@ class GeoMean(Sum):
             raise AggregateDomainError(
                 f"geomean needs positive values, got {value!r}"
             )
-        summary.aggregate += math.log(value)
-        summary.count += 1
-        return summary
+        return super().update_in_map(summary, math.log(value))
 
     def get_agg_result(self, summary: AggSummary) -> float | int | None:
         if summary.count == 0:

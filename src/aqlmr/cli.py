@@ -70,6 +70,18 @@ def _parse_sizes(text: str, what: str) -> list[int]:
     return sizes
 
 
+def _check_workers(text: str) -> None:
+    """Check a --workers count: an integer as query text writes one, at least
+    1. The engine is serial, so the count selects nothing; it is still
+    checked so that existing scripts keep working and typos keep failing."""
+    try:
+        count = parse_int(text)
+    except ParseError:
+        count = 0
+    if count < 1:
+        raise StoreError(f"bad --workers count {text!r} (want an integer >= 1)")
+
+
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     extents = _parse_sizes(args.dims, "--dims")
     chunks = _parse_sizes(args.chunk, "--chunk")
@@ -111,11 +123,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     query = _resolve_query(args.query, args.data_dir)
     job = _plan_with_warnings(query, args.mode)
     print(explain(query))
     print(render_plan(job))
-    out = emit_param_config(job, args.out, workers=args.workers)
+    out = emit_param_config(job, args.out)
     print(f"wrote {out}")
     return 0
 
@@ -139,6 +152,7 @@ def _print_run(result, geom) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)
     if args.config:
         catalog = Catalog.load_dir(args.data_dir) if args.data_dir else None
         job = load_param_config(args.config, catalog)
@@ -147,14 +161,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         query = _resolve_query(args.query, args.data_dir)
         job = _plan_with_warnings(query, args.mode)
         query_text = args.query
-    result = run_job(job, workers=args.workers)
+    result = run_job(job)
     _print_run(result, job.geometry)
     if args.report:
         doc = {
             "query": query_text,
             "template": job.template_id,
             "mode": job.mode,
-            "workers": args.workers if args.workers is not None else job.workers,
             "group_count": job.geometry.group_count,
             "groups": [
                 {
@@ -172,6 +185,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    for count in args.workers.split(","):
+        _check_workers(count)
     query = _resolve_query(args.query, args.data_dir)
     agg = default_registry().get(query.aggregator)
     if not agg.algebraic:
@@ -179,16 +194,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"{agg.name} is holistic; a holistic aggregator cannot run optimized, "
             "so there is nothing to compare"
         )
-    # --workers selects nothing (the engine is serial); it is still checked
-    # so that existing scripts keep working and typos keep failing
-    try:
-        worker_counts = [int(w) for w in args.workers.split(",")]
-        if min(worker_counts) < 1:
-            raise ValueError
-    except ValueError:
-        raise StoreError(
-            f"bad --workers {args.workers!r} (want counts >= 1, e.g. 1,2,4)"
-        ) from None
 
     runs: dict[str, dict] = {}
     for mode in ("naive", "optimized"):
@@ -223,7 +228,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.report:
         doc = {
             "query": args.query,
-            "workers": worker_counts,
             "modes": {
                 mode: {"counters": info["counters"], "time": info["time"]}
                 for mode, info in runs.items()
@@ -263,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--mode", choices=("auto", "naive", "optimized"), default="auto")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", default="1", help="checked, no effect")
     p.add_argument("--out", required=True, help="parameter file to write")
     p.set_defaults(func=_cmd_translate)
 
@@ -273,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="parameter file from translate")
     p.add_argument("--data-dir", default=None)
     p.add_argument("--mode", choices=("auto", "naive", "optimized"), default="auto")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", default="1", help="checked, no effect")
     p.add_argument("--report", help="write a JSON report here")
     p.set_defaults(func=_cmd_run)
 

@@ -4,9 +4,9 @@ A job runs as one serial pass over whole columns: every split is mapped in
 split order, the shuffle concatenates the map outputs in that order, and the
 reduce folds every group at once, adding rows into each group in
 (split, emission) order, so results are the same from run to run.
-The ``workers`` count is still accepted and validated, so saved parameter
-files and scripts keep working, but it does not change execution: results and
-counters are the same for any value.
+run_job still accepts and validates a ``workers`` count, so callers written
+for a parallel engine keep working, but it does not change execution: results
+and counters are the same for any value.
 
 Counters model the costs a distributed run would pay: cells read and emitted,
 bytes scanned, bytes moved through the shuffle (8 bytes of key plus the
@@ -231,7 +231,7 @@ def _reduce(rows: Pairs | Summaries, agg: Aggregator) -> tuple[np.ndarray, list]
 
 def run_job(
     plan: JobPlan,
-    workers: int | None = None,
+    workers: int = 1,
     registry: AggregatorRegistry | None = None,
 ) -> JobResult:
     registry = registry or default_registry()
@@ -240,8 +240,6 @@ def run_job(
         raise EngineError(
             f"{agg.name} is holistic; a holistic aggregator cannot run optimized"
         )
-    if workers is None:
-        workers = plan.workers
     if workers < 1:
         raise EngineError("workers must be >= 1")
 

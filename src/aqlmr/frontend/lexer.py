@@ -1,8 +1,9 @@
 """Tokenizer for the query language.
 
 Keywords are case-insensitive; identifiers keep their spelling. Numbers are
-int when the text has no fraction or exponent, float otherwise; a float
-literal too large for a double is an error, not infinity. Every token
+int when the text has no fraction or exponent, float otherwise; a literal
+too large for a double, int or float, is an error, not infinity: values
+are compared with float64 arrays, and a larger int cannot be. Every token
 carries line and column (1-based) for error reports.
 """
 
@@ -84,13 +85,17 @@ def tokenize(text: str) -> list[Token]:
                 line += newlines
                 line_start = m.start() + raw.rfind("\n") + 1
         elif kind == "number":
+            value = float(raw)
+            if math.isinf(value):
+                raise LexError(f"number {raw!r} is out of range", line, col)
             if m.group("frac") or m.group("exp"):
-                value = float(raw)
-                if math.isinf(value):
-                    raise LexError(f"number {raw!r} is out of range", line, col)
                 tokens.append(Token("float", raw, value, line, col))
             else:
-                tokens.append(Token("int", raw, int(raw), line, col))
+                # int() refuses over 4300 digits; a finite value has at most
+                # 309 once leading zeros go
+                digits = raw.lstrip("-").lstrip("0") or "0"
+                sign = -1 if raw.startswith("-") else 1
+                tokens.append(Token("int", raw, sign * int(digits), line, col))
         elif kind == "ident":
             lowered = raw.lower()
             if lowered in KEYWORDS:

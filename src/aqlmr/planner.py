@@ -16,7 +16,7 @@ and run by a separate process.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .aggregates import AggregatorRegistry, default_registry
@@ -80,7 +80,6 @@ class JobPlan:
     query: QueryObject
     geometry: GroupGeometry
     splits: SplitSpec
-    workers: int = 1
 
 
 def plan(
@@ -88,7 +87,6 @@ def plan(
     mode_request: str = "auto",
     *,
     registry: AggregatorRegistry | None = None,
-    workers: int = 1,
 ) -> JobPlan:
     """Choose a template and mode for the query.
 
@@ -122,7 +120,6 @@ def plan(
         query=query,
         geometry=make_geometry(query.kind, query.box, query.geometry),
         splits=SplitSpec(query.data_path, query.box, query.array.chunk_shape),
-        workers=workers,
     )
 
 
@@ -154,7 +151,6 @@ def config_pairs(plan: JobPlan) -> dict[str, str]:
     pairs = {
         "template": plan.template_id,
         "mode": plan.mode,
-        "workers": str(plan.workers),
         "aggregator": query.aggregator,
         "array": schema.name,
         "array.attribute": schema.attribute,
@@ -186,10 +182,8 @@ def config_pairs(plan: JobPlan) -> dict[str, str]:
     return pairs
 
 
-def emit_param_config(plan: JobPlan, out_path: Path | str, *, workers: int | None = None) -> Path:
+def emit_param_config(plan: JobPlan, out_path: Path | str) -> Path:
     """Write the plan as sorted key=value lines; byte-identical for equal plans."""
-    if workers is not None:
-        plan = replace(plan, workers=workers)
     pairs = config_pairs(plan)
     lines = ["# map/reduce job parameters"]
     lines.extend(f"{k}={pairs[k]}" for k in sorted(pairs))
@@ -301,9 +295,9 @@ def load_param_config(
     handle query text. The file must then hold only keys that
     ``config_pairs`` writes for that plan, and agree with it on the keys the
     plan derives. Only what the format adds (its key lines, the catalog
-    cross-check, the fixed mode, workers) is checked here. The file is
-    self-contained; a catalog, when given, supplies the data path and
-    cross-checks the schema.
+    cross-check, the fixed mode, the workers count older files carry) is
+    checked here. The file is self-contained; a catalog, when given,
+    supplies the data path and cross-checks the schema.
     """
     registry = registry or default_registry()
     pairs = _parse_pairs(Path(path).read_text())
@@ -355,10 +349,11 @@ def load_param_config(
         raise ConfigError(
             f"{query.aggregator} is holistic; a holistic aggregator cannot run optimized"
         )
-    workers = _int(pairs, "workers") if "workers" in pairs else 1
-    if workers < 1:
+    # older files carry a workers count; the engine is serial, so it is
+    # checked and then ignored
+    if "workers" in pairs and _int(pairs, "workers") < 1:
         raise ConfigError("workers must be >= 1")
-    job = plan(query, mode, registry=registry, workers=workers)
+    job = plan(query, mode, registry=registry)
 
     _check_keys(pairs, config_pairs(job))
     return job
@@ -372,10 +367,10 @@ def _check_keys(pairs: dict[str, str], written: dict[str, str]) -> None:
     """Hold the file's keys to what ``config_pairs`` writes for its plan.
 
     ``where.N`` keys are exempt: each was read into the query, and their
-    indices may be sparse.
+    indices may be sparse. So is ``workers``, which older files carry.
     """
     for key in pairs:
-        if key not in written and not key.startswith("where."):
+        if key not in written and key != "workers" and not key.startswith("where."):
             raise ConfigError(f"unknown config key {key!r}")
     for key in _DERIVED_KEYS:
         if key in written and _require(pairs, key) != written[key]:

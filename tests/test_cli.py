@@ -37,7 +37,6 @@ def _golden(specific: str, aggregator: str, box: str = "box.hi=15,15\nbox.lo=0,0
         "array.path={path}\n"
         f"{box}\n"
         f"{specific}"
-        "workers=1\n"
     )
 
 
@@ -98,7 +97,14 @@ class TestGenData:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "dims,chunk", [("1_6x+8", "4x4"), ("16x8", "4x+4"), ("16x8.0", "4x4"), ("16x0x8", "4x4x4")]
+        "dims,chunk",
+        [
+            ("1_6x+8", "4x4"),
+            ("16x8", "4x+4"),
+            ("16x8.0", "4x4"),
+            ("16x0x8", "4x4x4"),
+            pytest.param("1" + "0" * 5000 + "x8", "4x4", id="5001-digits"),
+        ],
     )
     def test_sizes_use_query_integers(self, tmp_path, capsys, dims, chunk):
         rc = main(
@@ -366,12 +372,11 @@ class TestBench:
         ]
         assert "map_output_records ratio" in out
         doc = json.loads(report.read_text())
-        assert doc["workers"] == [1, 2]
         assert doc["ratios"]["map_output_records"] > 1
         assert doc["modes"]["naive"]["counters"]["map_output_records"] == 256
         assert isinstance(doc["modes"]["optimized"]["time"], float)
 
-    @pytest.mark.parametrize("workers", ["1,x", "0", "2,-1"])
+    @pytest.mark.parametrize("workers", ["1,x", "0", "2,-1", "1,1_0"])
     def test_bad_workers_list_is_exit_4(self, data_dir, capsys, workers):
         rc = main(["bench", GRID_Q, "--data-dir", str(data_dir), "--workers", workers])
         assert rc == 4
@@ -387,6 +392,56 @@ class TestBench:
         )
         assert rc == 3
         assert "holistic" in capsys.readouterr().err
+
+
+# past a double's range (and int()'s 4300-digit limit)
+HUGE = "1" + "0" * 400
+LONG = "1" + "0" * 5000
+
+
+class TestOutOfRangeNumbers:
+    @pytest.mark.parametrize("number", [HUGE, LONG], ids=["401-digits", "5001-digits"])
+    def test_query_text_is_exit_2(self, data_dir, capsys, number):
+        query = f"select sum(val) from A where val < {number} grid as (partition by x 8, y 8)"
+        assert main(["run", "--query", query, "--data-dir", str(data_dir)]) == 2
+        assert "is out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,forged",
+        [("where.0=val > 10", f"where.0=val < {HUGE}"), ("box.hi=15,15", f"box.hi=15,{LONG}")],
+        ids=["where", "box"],
+    )
+    def test_parameter_file_is_exit_3(self, data_dir, tmp_path, capsys, line, forged):
+        cfg = tmp_path / "job.cfg"
+        query = "select sum(val) from A where val > 10 grid as (partition by x 8, y 8)"
+        assert main(["translate", query, "--data-dir", str(data_dir), "--out", str(cfg)]) == 0
+        cfg.write_text(cfg.read_text().replace(line, forged))
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert "is out of range" in capsys.readouterr().err
+
+
+class TestWorkers:
+    """--workers selects nothing, but translate and run check it as bench does."""
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "1_0", "+2", "x"])
+    @pytest.mark.parametrize("command", ["translate", "run"])
+    def test_bad_count_is_exit_4(self, data_dir, tmp_path, capsys, command, workers):
+        cfg = tmp_path / "job.cfg"
+        argv = ["translate", GRID_Q, "--out", str(cfg)]
+        if command == "run":
+            argv = ["run", "--query", GRID_Q]
+        rc = main(argv + ["--data-dir", str(data_dir), "--workers", workers])
+        assert rc == 4
+        assert "bad --workers" in capsys.readouterr().err
+        assert not cfg.exists()
+
+    def test_translate_writes_no_workers_key(self, data_dir, tmp_path, capsys):
+        cfg = tmp_path / "job.cfg"
+        argv = ["translate", GRID_Q, "--data-dir", str(data_dir), "--out", str(cfg)]
+        assert main(argv + ["--workers", "3"]) == 0
+        assert "workers" not in cfg.read_text()
+        assert main(["run", "--config", str(cfg), "--workers", "2"]) == 0
 
 
 class TestUsage:

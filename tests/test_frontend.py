@@ -46,6 +46,19 @@ class TestLexer:
         with pytest.raises(LexError, match="out of range"):
             tokenize(text)
 
+    @pytest.mark.parametrize(
+        "text", ["1" + "0" * 400, "-" + "9" * 5001], ids=["401-digits", "5001-digits"]
+    )
+    def test_int_overflow_rejected(self, text):
+        # a double cannot hold them, and the second is past int()'s digit limit
+        with pytest.raises(LexError, match="out of range"):
+            tokenize(text)
+
+    def test_long_ints_within_range_read(self):
+        largest = 2**1024 - 2**970 - 1  # the largest int a double rounds to finite
+        assert tokenize("0" * 5000 + "12")[0].value == 12
+        assert tokenize(f"-{largest}")[0].value == -largest
+
     def test_keywords_fold_case_idents_do_not(self):
         toks = tokenize("SELECT Val FROM")
         assert (toks[0].kind, toks[0].text) == ("keyword", "select")

@@ -107,16 +107,11 @@ class TestParamConfig:
     @pytest.mark.parametrize("mode", ["naive", "auto"])
     def test_round_trip(self, built, tmp_path, text, mode):
         job = make_plan(built, text, mode)
-        path = emit_param_config(job, tmp_path / "job.cfg", workers=3)
-        loaded = load_param_config(path)
-        assert loaded == job.__class__(
-            template_id=job.template_id,
-            mode=job.mode,
-            query=job.query,
-            geometry=job.geometry,
-            splits=job.splits,
-            workers=3,
-        )
+        path = emit_param_config(job, tmp_path / "job.cfg")
+        assert load_param_config(path) == job
+        # older files carry a workers count, which loads and changes nothing
+        path.write_text(path.read_text() + "workers=3\n")
+        assert load_param_config(path) == job
 
     def test_round_trip_with_catalog(self, built, tmp_path):
         job = make_plan(built, WINDOW_Q)

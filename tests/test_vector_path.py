@@ -297,3 +297,46 @@ def test_custom_aggregators_use_their_scalar_hooks(tmp_path, monkeypatch, mode, 
             else:
                 want = agg.holistic_result(values)
             assert got == want and type(got) is type(want), f"{text} ({mode}) group {gid}"
+
+
+@pytest.mark.parametrize("element_type", ["float64", "int64"])
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_builtins_never_take_the_scalar_loop(tmp_path, monkeypatch, mode, element_type):
+    """With the base class's scalar fold and merge patched to raise, every
+    built-in algebraic aggregate still runs and matches the oracle: exactly
+    for SUM, COUNT, AVG, MIN and MAX, on quarter-integer floats (exact sums)
+    and on int64 values near +-2**62, whose split sums overflow int64."""
+
+    def scalar_loop(*args):
+        raise AssertionError("a built-in took the scalar loop")
+
+    monkeypatch.setattr(Aggregator, "fold_groups", scalar_loop)
+    monkeypatch.setattr(Aggregator, "merge_groups", scalar_loop)
+    rng = np.random.default_rng(11)
+    if element_type == "int64":
+        magnitude = 2**62 + rng.integers(-1000, 1000, (9, 7))
+    else:
+        magnitude = rng.integers(1, 4000, (9, 7)) / 4
+    for sign in (1, -1):
+        values = sign * magnitude
+        built = build_array(
+            tmp_path, extents=(9, 7), chunks=(4, 3), element_type=element_type, values=values
+        )
+        aggs = ("sum", "count", "avg", "min", "max", "stddev") + ("geomean",) * (sign > 0)
+        threshold = values.flat[20].item()
+        for agg, (shape, kwargs), where in product(aggs, CUSTOM_SHAPES, [None, threshold]):
+            clause = "" if where is None else f" where val > {where!r}"
+            text = f"select {agg}(val) from A{clause} {shape}"
+            result = run_job(plan(analyze(parse(text), built.catalog), mode))
+            predicate = None if where is None else [(">", where)]
+            groups = group_value_lists(values, (0, 0), (8, 6), predicate=predicate, **kwargs)
+            assert len(result.values) == len(groups)
+            for gid, (got, group) in enumerate(zip(result.values, groups)):
+                context = f"{text} ({mode}) group {gid}"
+                want = aggregate_direct(agg, group) if group.size else None
+                if agg == "stddev" and group.size:
+                    assert_stddev_close(got, want, group, context)
+                elif agg in ("stddev", "geomean"):
+                    assert_close(got, want, context=context)
+                else:
+                    assert got == want and type(got) is type(want), f"{context}: {got!r}"
