@@ -140,9 +140,7 @@ def optimized_map(
     counters: Counters,
 ) -> Summaries:
     """Fold values into one summary per group seen in this split."""
-    gids, values = _emit(split, membership, predicate, counters)
-    # a split that reaches no group folds nothing
-    out = agg.fold_groups(gids, values) if len(gids) else Summaries(gids, values, gids)
+    out = agg.fold_groups(*_emit(split, membership, predicate, counters))
     counters.add("map_output_records", len(out))
     return out
 

@@ -18,9 +18,10 @@ the box boundary (the largest radius whose full extent still fits: the
 smallest r with r >= the largest inscribed radius). Cells beyond the last
 ring (box corners exceed the inscribed radius) belong to no group.
 
-A compiled Membership answers for one cell (groups_of, explain, tests) and
-for a whole region at once (the engine's map), from per-dimension index
-ranges broadcast over the region: no per-cell Python work.
+A compiled Membership defines each shape's membership once, for a whole
+region at a time (the engine's map), from per-dimension index ranges
+broadcast over the region: no per-cell Python work. One cell (groups_of) is
+the one-cell region.
 """
 
 from __future__ import annotations
@@ -141,48 +142,27 @@ def _ceil_sqrt(d2: int) -> int:
     return isqrt(d2 - 1) + 1 if d2 else 0
 
 
-def _ring_distance(geom: GroupGeometry, coord: tuple[int, ...]) -> int:
-    """The cell's integer ring distance from the centroid: Chebyshev for
-    hierarchical rings; for circular ones the smallest integer radius d with
-    d*d >= the squared distance, so ring k holds
-    (r0 + (k-1)*s)**2 < d2 <= (r0 + k*s)**2 exactly."""
-    centroid = geom.centroid
-    assert centroid is not None
-    if geom.kind == "hierarchical":
-        return max(abs(c - z) for c, z in zip(coord, centroid))
-    return _ceil_sqrt(sum((c - z) ** 2 for c, z in zip(coord, centroid)))
-
-
-def _ring_bucket(geom: GroupGeometry, coord: tuple[int, ...]) -> int | None:
-    """Index of the smallest ring containing the cell, or None when the cell
-    lies beyond the last ring."""
-    params = geom.params
-    assert isinstance(params, RingParams)
-    r0, s = params.radius0, params.step
-    d = _ring_distance(geom, coord)
-    k = 0 if d <= r0 else -(-(d - r0) // s)
-    return k if k < geom.group_count else None
-
-
 def groups_of(coord: tuple[int, ...], geom: GroupGeometry) -> tuple[int, ...]:
     """Group ids the cell at ``coord`` belongs to (empty when none)."""
     return build_membership(geom)(coord)
 
 
 class Membership:
-    """A geometry's membership, compiled once per job.
+    """A geometry's membership, compiled once per job: ``block`` gives every
+    membership of a region's cells at once.
 
-    Called with a coordinate, it returns the cell's group ids: ascending
-    row-major for sliding windows, from the cell's ring outward for nested
-    rings. ``block`` gives the same memberships for a whole region at once.
+    Called with a coordinate, it is ``block`` over that one cell: the cell's
+    group ids, ascending row-major for sliding windows and from the cell's
+    own ring outward for nested rings; () for a cell outside the box.
     """
 
-    def __init__(self, cell, block) -> None:
-        self._cell = cell
+    def __init__(self, box: BoundingBox, block) -> None:
+        self._box = box
         self._block = block
 
     def __call__(self, coord: tuple[int, ...]) -> tuple[int, ...]:
-        return self._cell(coord)
+        region = self._box.intersect(BoundingBox(coord, coord))
+        return () if region is None else tuple(self._block(region, None)[1].tolist())
 
     def block(
         self, region: BoundingBox, keep: np.ndarray | None = None
@@ -233,9 +213,11 @@ def _distances(a: int, b: int) -> np.ndarray:
 
 
 def _ring_pairs(geom: GroupGeometry, region: BoundingBox, keep):
-    """Membership pairs of ring geometries: each kept cell's distance picks
-    its first ring and its ring count from tables over the region's
-    distance range."""
+    """Membership pairs of ring geometries: each kept cell's integer distance
+    (Chebyshev for hierarchical rings; for circular ones the smallest d with
+    d*d >= the squared distance, so ring k holds
+    (r0 + (k-1)*s)**2 < d2 <= (r0 + k*s)**2 exactly) picks its first ring and
+    its ring count from tables over the region's distance range."""
     params = geom.params
     assert isinstance(params, RingParams) and geom.centroid is not None
     spans = [(l - z, h - z) for l, h, z in zip(region.lo, region.hi, geom.centroid)]
@@ -258,9 +240,12 @@ def _ring_pairs(geom: GroupGeometry, region: BoundingBox, keep):
             grids = np.ix_(*(np.arange(a, b + 1, dtype=np.float64) for a, b in spans))
             d = np.ceil(np.sqrt(sum(g * g for g in grids))).astype(np.int64)
         else:
-            coords = product(*(range(l, h + 1) for l, h in zip(region.lo, region.hi)))
-            d = np.array([_ring_distance(geom, c) for c in coords], np.int64)
-    r0, s = params.radius0, params.step
+            offsets = product(*(range(a, b + 1) for a, b in spans))
+            d = np.array([_ceil_sqrt(sum(x * x for x in o)) for o in offsets], np.int64)
+    # a radius of hi or more puts every distance in ring 0, and a step past
+    # hi - r0 every distance past r0 in ring 1, as the unbounded values do
+    r0 = min(params.radius0, hi)
+    s = min(params.step, hi - r0 + 1)
     ring = np.maximum(_floor_div(lo - r0 + s - 1, hi - r0 + s - 1, s), 0)
     rings = np.maximum(geom.group_count - ring, 0)  # the cell's ring and all outer ones
     if params.mode == "disjoint":
@@ -270,54 +255,38 @@ def _ring_pairs(geom: GroupGeometry, region: BoundingBox, keep):
 
 
 def build_membership(geom: GroupGeometry) -> Membership:
-    """Compile the membership function once for a job."""
+    """Compile the membership function once for a job. Each geometry integer
+    is first bounded by the box, to a value that gives the same ids, so numpy
+    only sees integers of the box's size."""
     params = geom.params
     box = geom.box
     if geom.kind == "grid":
         assert isinstance(params, GridParams)
         counts = _grid_block_counts(box, params)
-        lo = box.lo
-        sizes = params.partitions
-
-        def grid_member(coord: tuple[int, ...]) -> tuple[int, ...]:
-            gid = 0
-            for c, l, p, n in zip(coord, lo, sizes, counts):
-                gid = gid * n + (c - l) // p
-            return (gid,)
+        sizes = [min(p, n) for p, n in zip(params.partitions, box.shape)]
 
         def grid_block(region: BoundingBox, keep):
             axes = [
                 _floor_div(a - l, b - l, p)
-                for a, b, l, p in zip(region.lo, region.hi, lo, sizes)
+                for a, b, l, p in zip(region.lo, region.hi, box.lo, sizes)
             ]
             cells = _kept(region, keep)
             return cells, _ravel(axes, counts)[cells]
 
-        return Membership(grid_member, grid_block)
+        return Membership(box, grid_block)
 
     if geom.kind == "sliding":
         assert isinstance(params, SlidingParams)
         counts = _sliding_center_counts(box, params)
-        lo = box.lo
-        stride = params.stride
-        prec = params.preceding
-        foll = params.following
-
-        def sliding_member(coord: tuple[int, ...]) -> tuple[int, ...]:
-            # row-major ids over the per-dim ranges of center lattice indices
-            # whose window covers coord; an empty range leaves no ids
-            gids = [0]
-            for c, l, p, f, n in zip(coord, lo, prec, foll, counts):
-                kmin = (max(0, c - f - l) + stride - 1) // stride
-                kmax = min((c + p - l) // stride, n - 1)
-                gids = [g * n + k for g in gids for k in range(kmin, kmax + 1)]
-            return tuple(gids)
+        stride = min(params.stride, max(box.shape))
+        prec = [min(p, n - 1) for p, n in zip(params.preceding, box.shape)]
+        foll = [min(f, n - 1) for f, n in zip(params.following, box.shape)]
 
         def sliding_block(region: BoundingBox, keep):
             # per dimension, (position, center index) pairs of the covering
             # windows; every combination across dimensions is one membership
             cell_axes, center_axes = [], []
-            for rl, rh, l, p, f, n in zip(region.lo, region.hi, lo, prec, foll, counts):
+            for rl, rh, l, p, f, n in zip(region.lo, region.hi, box.lo, prec, foll, counts):
                 a, b = rl - l, rh - l
                 kmin = np.maximum(_floor_div(a - f + stride - 1, b - f + stride - 1, stride), 0)
                 kmax = np.minimum(_floor_div(a + p, b + p, stride), n - 1)
@@ -331,26 +300,9 @@ def build_membership(geom: GroupGeometry) -> Membership:
                 cells, gids = cells[kept], gids[kept]
             return cells, gids
 
-        return Membership(sliding_member, sliding_block)
+        return Membership(box, sliding_block)
 
-    assert isinstance(params, RingParams)
-    last = geom.group_count - 1
-
-    if params.mode == "nested":
-
-        def nested_member(coord: tuple[int, ...]) -> tuple[int, ...]:
-            k = _ring_bucket(geom, coord)
-            if k is None:
-                return ()
-            return tuple(range(k, last + 1))
-
-        return Membership(nested_member, partial(_ring_pairs, geom))
-
-    def disjoint_member(coord: tuple[int, ...]) -> tuple[int, ...]:
-        k = _ring_bucket(geom, coord)
-        return () if k is None else (k,)
-
-    return Membership(disjoint_member, partial(_ring_pairs, geom))
+    return Membership(box, partial(_ring_pairs, geom))
 
 
 def group_extent(gid: int, geom: GroupGeometry) -> BoundingBox | RingExtent:

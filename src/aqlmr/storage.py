@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -272,26 +273,32 @@ def generate_array(
     "uniform" (deterministic for a given seed; floats in [0, 1), ints in
     [0, 1000)), or "constant:<c>".
     """
+    if schema.nbytes > sys.maxsize:
+        raise StoreError(f"array {schema.name!r} is too large to generate ({schema.nbytes} bytes)")
     n = schema.cell_count
-    if fill == "ramp":
-        values = np.arange(n)
-    elif fill == "uniform":
-        rng = np.random.default_rng(seed)
-        if schema.element_type == "float64":
-            values = rng.random(n)
+    try:
+        if fill == "ramp":
+            values = np.arange(n)
+        elif fill == "uniform":
+            rng = np.random.default_rng(seed)
+            if schema.element_type == "float64":
+                values = rng.random(n)
+            else:
+                values = rng.integers(0, 1000, n)
+        elif fill == "constant" or fill.startswith("constant:"):
+            _, _, text = fill.partition(":")
+            try:
+                c = float(text) if text else 0.0
+            except ValueError:
+                raise StoreError(f"bad constant fill {fill!r}")
+            values = np.full(n, c)
         else:
-            values = rng.integers(0, 1000, n)
-    elif fill == "constant" or fill.startswith("constant:"):
-        _, _, text = fill.partition(":")
-        try:
-            c = float(text) if text else 0.0
-        except ValueError:
-            raise StoreError(f"bad constant fill {fill!r}")
-        values = np.full(n, c)
-    else:
-        raise StoreError(f"unknown fill {fill!r} (expected ramp, uniform, or constant:<c>)")
+            raise StoreError(f"unknown fill {fill!r} (expected ramp, uniform, or constant:<c>)")
+        data = np.asarray(values).astype(schema.dtype).tobytes()
+    except MemoryError:
+        raise StoreError(f"not enough memory to generate array {schema.name!r}") from None
     out_path = Path(out_path)
-    out_path.write_bytes(np.asarray(values).astype(schema.dtype).tobytes())
+    out_path.write_bytes(data)
     return out_path
 
 

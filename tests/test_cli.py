@@ -114,6 +114,14 @@ class TestGenData:
         assert "bad --" in capsys.readouterr().err
         assert not (tmp_path / "A.bin").exists()
 
+    def test_size_past_the_address_space(self, tmp_path, capsys):
+        dims = "1000000000000000000000x8"
+        rc = main(["gen-data", "--name", "H", "--dims", dims, "--chunk", "4x4", "--out-dir", str(tmp_path)])
+        assert rc == 4
+        assert "too large to generate" in capsys.readouterr().err
+        assert not (tmp_path / "H.bin").exists()
+        assert not (tmp_path / "H.meta.json").exists()
+
     def test_custom_names_and_type(self, tmp_path):
         rc = main(
             [

@@ -211,6 +211,46 @@ class TestRingJobs:
         assert result.values == [int(g.size) for g in groups]
 
 
+BIG = 2**63
+GEOMETRY_INTEGERS = [
+    ("grid as (partition by x 9223372036854775808, y 4)", "grid", {"partitions": (BIG, 4)}),
+    (
+        "fixed window as (partition by x 1000000000000000000000 preceding and 0 following,"
+        " y 1 preceding and 1 following)",
+        "sliding",
+        {"preceding": (10**21, 1), "following": (0, 1)},
+    ),
+    (
+        "fixed window as (partition by x 1 preceding and 1 following,"
+        " y 0 preceding and 2 following stride 9223372036854775808)",
+        "sliding",
+        {"preceding": (1, 0), "following": (1, 2), "stride": BIG},
+    ),
+    ("circular as (radius 1 step 9223372036854775808)", "circular", {"radius0": 1, "step": BIG}),
+    ("circular as (radius 1 step 9223372036854775807)", "circular", {"radius0": 1, "step": BIG - 1}),
+    ("hierarchical as (radius 9223372036854775808 step 1)", "hierarchical", {"radius0": BIG, "step": 1}),
+    ("hierarchical as (radius 0 step 9223372036854775807)", "hierarchical", {"radius0": 0, "step": BIG - 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,kind,params",
+    GEOMETRY_INTEGERS,
+    ids=["partition", "reach", "stride", "step-2^63", "step-2^63-1", "radius", "nested-step"],
+)
+def test_geometry_integers_of_any_size(array_factory, shape, kind, params):
+    """A partition, reach, stride, radius or step past the box acts like
+    the box-sized value, even past int64."""
+    built = array_factory(fill="uniform", seed=3)
+    groups = group_value_lists(built.values, (0, 0), (7, 7), kind, **params)
+    for agg, mode in (("sum", "naive"), ("sum", "optimized"), ("median", "naive")):
+        result = run_query(built, f"select {agg}(val) from A {shape}", mode)
+        expected = expected_results(agg, groups)
+        assert len(result.values) == len(expected)
+        for gid, (got, want) in enumerate(zip(result.values, expected)):
+            assert_close(got, want, context=f"{shape} {agg} {mode} group {gid}")
+
+
 class TestPredicates:
     def test_bytes_read_invariant_and_filtering(self, array_factory):
         built = array_factory(extents=(10, 10), chunks=(4, 4), fill="ramp")

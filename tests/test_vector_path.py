@@ -5,7 +5,9 @@ dimensions with nonzero starts and ragged chunks, for every shape, every
 built-in aggregate and both mappers, at hostile magnitudes: float64 values
 at 1e15 plus noise, and int64 values near +-2**62, whose sums overflow
 int64. Filters that empty some or all splits and single-cell boxes come up
-on their own. Block membership is checked against groups_of cell by cell.
+on their own. Block membership is checked against each shape's
+definition: group extents for grids and windows, exact integer distances
+for rings.
 """
 
 import math
@@ -30,7 +32,7 @@ from aqlmr import (
     SlidingParams,
     analyze,
     build_membership,
-    groups_of,
+    group_extent,
     make_geometry,
     parse,
     plan,
@@ -210,21 +212,41 @@ def regions(draw):
     return geom, region, keep
 
 
+def reference_pairs(geom, region, keep):
+    """(cell, gid) pairs from the definitions: a grid or sliding group holds
+    the cells its extent contains; a ring holds the cells whose exact integer
+    distance (Chebyshev, or the ceiling of the Euclidean one) it reaches."""
+    coords = list(product(*(range(l, h + 1) for l, h in zip(region.lo, region.hi))))
+    pairs = []
+    if geom.kind in ("grid", "sliding"):
+        for g in range(geom.group_count):
+            extent = group_extent(g, geom)
+            pairs += [(i, g) for i, c in enumerate(coords) if extent.contains(c)]
+    else:
+        r0, step, last = geom.params.radius0, geom.params.step, geom.group_count - 1
+        for i, c in enumerate(coords):
+            offsets = [x - z for x, z in zip(c, geom.centroid)]
+            if geom.kind == "hierarchical":
+                d = max(abs(x) for x in offsets)
+            else:
+                d2 = sum(x * x for x in offsets)
+                d = math.isqrt(d2)
+                d += d * d < d2
+            k = 0 if d <= r0 else (d - r0 + step - 1) // step  # the first ring reaching d
+            if k <= last:
+                stop = last + 1 if geom.params.mode == "nested" else k + 1
+                pairs += [(i, g) for g in range(k, stop)]
+    return [(i, g) for i, g in pairs if keep is None or keep.flat[i]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(regions())
-def test_block_membership_matches_groups_of(case):
+def test_block_membership_matches_reference(case):
     geom, region, keep = case
     cells, gids = build_membership(geom).block(region, keep)
     assert cells.dtype == gids.dtype == np.int64
-    coords = product(*(range(l, h + 1) for l, h in zip(region.lo, region.hi)))
-    expected = [
-        (i, g)
-        for i, coord in enumerate(coords)
-        if keep is None or keep.flat[i]
-        for g in groups_of(coord, geom)
-    ]
     got = list(zip(cells.tolist(), gids.tolist()))
-    assert sorted(got) == sorted(expected)
+    assert sorted(got) == sorted(reference_pairs(geom, region, keep))
     # within a group, cells come in row-major order (the fold order), and
     # each cell's first pair follows the first pair of every earlier cell
     for g in set(gids.tolist()):
