@@ -18,7 +18,10 @@ The engine works on whole columns through four vector hooks: fold_groups
 group). The base class derives each from the scalar hooks with a loop, so an
 aggregator that defines only the scalar hooks runs in both modes. Only
 custom aggregators take that loop: the built-ins (builtin_aggregates.py)
-override the vector hooks with numpy.
+override the vector hooks with numpy. A built-in whose map summary is a sum,
+minimum or maximum of its values also declares that ``combine`` kind, which
+lets the optimized sliding map compute every window's summary with a
+kernel (grouping.Membership.fold) instead of fold_groups.
 """
 
 from __future__ import annotations
@@ -106,6 +109,15 @@ def group_ids(gids: np.ndarray) -> np.ndarray:
     return present + lo
 
 
+def group_order(gids: np.ndarray) -> np.ndarray:
+    """A stable argsort of group ids. Ids from 0 to 2**16 - 1 sort as
+    uint16, for which numpy's stable sort is a radix sort, several times
+    faster than on int64 and in the same order."""
+    if len(gids) and 0 <= gids.min() and gids.max() < 2**16:
+        gids = gids.astype(np.uint16)
+    return np.argsort(gids, kind="stable")
+
+
 def _in_group(exc: AggregateError, gid) -> AggregateError:
     exc.group = int(gid)
     return exc
@@ -126,6 +138,11 @@ class Aggregator:
     name: str = ""
     algebraic: bool = True
     uses_ext: bool = False
+    # built-ins only (builtin_aggregates._Columnar.window_values): "sum",
+    # "min" or "max" when a group's map summary is that combine of the
+    # group's window values with their count, "count" when it is the count
+    # alone; None keeps the map on fold_groups
+    combine: str | None = None
 
     def identity(self) -> AggSummary:
         return AggSummary(0, 0, 0 if self.uses_ext else None)
@@ -172,7 +189,7 @@ class Aggregator:
     def holistic_results(self, gids: np.ndarray, values: np.ndarray) -> list:
         """holistic_result of each group's values, in input order, for each
         group by ascending id."""
-        order = np.argsort(gids, kind="stable")
+        order = group_order(gids)
         gids, vals = gids[order], values[order].tolist()
         bounds = group_bounds(gids).tolist()
         out = []

@@ -8,7 +8,10 @@ algebraic ones fold a value in by merging a one-value summary, so one merge
 law per aggregator serves the map and the reduce, written once as a scalar
 update_in_reduce and once over columns. Sums accumulate in input order
 (np.bincount, np.add.at), so float results equal a sequential fold; int64
-sums are exact, switching to Python ints where they could overflow. The code
+sums are exact, switching to Python ints where they could overflow. The
+optimized sliding map is the exception: it sums each window of a split with
+shifted adds (grouping.Membership.fold), in another order, so float window
+sums can differ from a sequential fold in their last bits. The code
 sticks to a few numpy kernels (bincount, ufunc.at, stable argsort, cumsum,
 repeat and indexing): each new kernel maps more of numpy's code into every
 process that runs a query.
@@ -33,6 +36,7 @@ from .aggregates import (
     _in_group,
     _span,
     group_bounds,
+    group_order,
 )
 
 
@@ -82,6 +86,19 @@ class _Columnar(Aggregator):
         ext = np.zeros(len(values)) if self.uses_ext else None
         return self.merge_groups(Summaries(gids, values, np.ones(len(values)), ext))
 
+    def window_values(self, block: np.ndarray, keep: np.ndarray | None) -> np.ndarray | None:
+        """The block as a window kernel combines it: cells ``keep`` drops
+        hold a value that changes no window's summary. None when a kept value
+        is NaN, so that fold_groups raises its error."""
+        if keep is not None:
+            block = np.where(keep, block, self._fill(block.dtype))
+        if block.dtype.kind == "f" and np.isnan(block).any():
+            return None
+        return block
+
+    def _fill(self, dtype: np.dtype) -> float | int:
+        return 0
+
     def merge_groups(self, table: Summaries) -> Summaries:
         if not len(table):
             return table
@@ -101,6 +118,7 @@ class _Columnar(Aggregator):
 
 class Sum(_Columnar):
     name = "sum"
+    combine = "sum"
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         summary.aggregate += other.aggregate
@@ -118,6 +136,7 @@ class Sum(_Columnar):
 
 class Count(_Columnar):
     name = "count"
+    combine = "count"
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         summary.count += other.count
@@ -150,7 +169,14 @@ class Avg(Sum):
 
 class Min(_Columnar):
     name = "min"
+    combine = "min"
     _largest = False
+
+    def _fill(self, dtype):
+        if dtype.kind == "f":
+            return -math.inf if self._largest else math.inf
+        info = np.iinfo(dtype)
+        return info.min if self._largest else info.max
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         if other.count:
@@ -180,6 +206,7 @@ class Min(_Columnar):
 
 class Max(Min):
     name = "max"
+    combine = "max"
     _largest = True
 
 
@@ -197,6 +224,7 @@ class StdDev(_Columnar):
 
     name = "stddev"
     uses_ext = True
+    combine = None  # a sum-of-squares kernel would bring back cancellation
 
     def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
         n = summary.count + other.count
@@ -257,11 +285,21 @@ class GeoMean(Sum):
                 self.update_in_map(self.identity(), values[first].item())
             except AggregateError as exc:
                 raise _in_group(exc, gids[first])
-        # math.log, not np.log, whose last bit differs for some inputs
-        logs = np.fromiter(map(math.log, values.tolist()), np.float64, len(values))
-        return super().fold_groups(gids, logs)
+        return super().fold_groups(gids, _logs(values))
+
+    def window_values(self, block, keep):
+        if keep is not None:
+            block = np.where(keep, block, 1)  # log 1 is the sum's 0
+        if not (block > 0).all():  # NaN fails the test too
+            return None
+        return _logs(block.ravel()).reshape(block.shape)
 
     group_results = Aggregator.group_results
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    # math.log, not np.log, whose last bit differs for some inputs
+    return np.fromiter(map(math.log, values.tolist()), np.float64, len(values))
 
 
 class Median(Aggregator):
@@ -291,7 +329,7 @@ class Median(Aggregator):
         group, and take the middle value or the mean of the middle two."""
         _reject_nan(gids, values)
         order = np.argsort(values, kind="stable")
-        order = order[np.argsort(gids[order], kind="stable")]
+        order = order[group_order(gids[order])]
         bounds = group_bounds(gids[order])
         n = np.diff(bounds)
         upper = values[order[bounds[:-1] + (n >> 1)]]

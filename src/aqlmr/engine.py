@@ -112,14 +112,6 @@ def _concat(tables: list):
     return type(tables[0])(*columns)
 
 
-def _emit(split: ArraySplit, membership: Membership, predicate, counters: Counters):
-    """The (group id, value) pair of every membership of the split's kept
-    cells, in columns."""
-    block, keep = read_block(split, predicate, counters)
-    cells, gids = membership.block(split.region, keep)
-    return gids, block.ravel()[cells]
-
-
 def naive_map(
     split: ArraySplit,
     membership: Membership,
@@ -127,7 +119,9 @@ def naive_map(
     counters: Counters,
 ) -> Pairs:
     """Emit one (group id, value) pair per group the cell belongs to."""
-    out = Pairs(*_emit(split, membership, predicate, counters))
+    block, keep = read_block(split, predicate, counters)
+    cells, gids = membership.block(split.region, keep)
+    out = Pairs(gids, block.ravel()[cells])
     counters.add("map_output_records", len(out))
     return out
 
@@ -140,7 +134,8 @@ def optimized_map(
     counters: Counters,
 ) -> Summaries:
     """Fold values into one summary per group seen in this split."""
-    out = agg.fold_groups(*_emit(split, membership, predicate, counters))
+    block, keep = read_block(split, predicate, counters)
+    out = membership.fold(split.region, block, keep, agg)
     counters.add("map_output_records", len(out))
     return out
 
@@ -284,8 +279,9 @@ def run_job(
         if len(results) == group_count:
             values = results  # every group has a result, in group order
         else:
-            for gid, value in zip(gids.tolist(), results):
-                values[gid] = value
+            scattered = np.full(group_count, None, object)
+            scattered[gids] = np.fromiter(results, object, len(results))  # each as it is
+            values = scattered.tolist()
     t3 = time.perf_counter()
 
     return JobResult(

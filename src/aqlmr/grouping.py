@@ -22,6 +22,14 @@ A compiled Membership defines each shape's membership once, for a whole
 region at a time (the engine's map), from per-dimension index ranges
 broadcast over the region: no per-cell Python work. One cell (groups_of) is
 the one-cell region.
+
+The optimized map folds a region through Membership.fold, which by default
+folds those (cell, group) pairs. Sliding windows override it for the
+built-ins that declare a combine kind: every window's partial over the
+region comes from separable kernels, one shifted in-place add, minimum or
+maximum per window offset and dimension, so the work per cell grows with the
+window's width and not with its area. Nothing is subtracted, so a huge or
+infinite cell reaches only the windows that hold it.
 """
 
 from __future__ import annotations
@@ -34,9 +42,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .aggregates import Summaries
 from .storage import BoundingBox
 
 if TYPE_CHECKING:
+    from .aggregates import Aggregator
     from .frontend.semantic import QueryObject
 
 
@@ -174,6 +184,123 @@ class Membership:
         cell."""
         return self._block(region, keep)
 
+    def fold(
+        self, region: BoundingBox, block: np.ndarray, keep: np.ndarray | None, agg: "Aggregator"
+    ) -> Summaries:
+        """``agg``'s summary of every group the kept cells of ``block`` (the
+        region's values) reach, by ascending group id."""
+        cells, gids = self.block(region, keep)
+        return agg.fold_groups(gids, block.ravel()[cells])
+
+
+class _Windows(Membership):
+    """Sliding-window membership, whose fold computes each window's partial
+    over a region with separable kernels (module docstring) when the
+    aggregator declares a combine kind. Rows and counts equal those of
+    fold_groups over the pairs; NaN, GEOMEAN's domain and int64 sums that
+    could overflow take that fold."""
+
+    def __init__(self, box: BoundingBox, params: SlidingParams) -> None:
+        super().__init__(box, self._pairs)
+        self._counts = _sliding_center_counts(box, params)
+        self._stride = min(params.stride, max(box.shape))
+        self._prec = [min(p, n - 1) for p, n in zip(params.preceding, box.shape)]
+        self._foll = [min(f, n - 1) for f, n in zip(params.following, box.shape)]
+        # the most cells a window holds
+        self._cells = prod(p + f + 1 for p, f in zip(self._prec, self._foll))
+
+    def _pairs(self, region: BoundingBox, keep):
+        # per dimension, (position, center index) pairs of the covering
+        # windows; every combination across dimensions is one membership
+        stride = self._stride
+        cell_axes, center_axes = [], []
+        for rl, rh, l, p, f, n in zip(
+            region.lo, region.hi, self._box.lo, self._prec, self._foll, self._counts
+        ):
+            a, b = rl - l, rh - l
+            kmin = np.maximum(_floor_div(a - f + stride - 1, b - f + stride - 1, stride), 0)
+            kmax = np.minimum(_floor_div(a + p, b + p, stride), n - 1)
+            pos, k = _expand(np.arange(b - a + 1), kmin, np.maximum(kmax - kmin + 1, 0))
+            cell_axes.append(pos)
+            center_axes.append(k)
+        cells = _ravel(cell_axes, region.shape)
+        gids = _ravel(center_axes, self._counts)
+        if keep is not None:
+            kept = keep.ravel()[cells]
+            cells, gids = cells[kept], gids[kept]
+        return cells, gids
+
+    def _axis(self, lo: int, hi: int, l: int, p: int, f: int, n: int):
+        """For one dimension of a region, the lattice indices of the windows
+        that reach its cells lo..hi, each window's cell count, and one
+        (window slice, cell slice) per window offset -p..f that lands in the
+        region."""
+        s = self._stride
+        a, b = lo - l, hi - l
+        kmin, kmax = max(-((f - a) // s), 0), min((b + p) // s, n - 1)
+        if kmax < kmin:  # the region falls between windows
+            return None
+        m, o = kmax - kmin + 1, kmin * s - p - a  # o: offset -p of window kmin
+        shifts = []
+        for j in range(o, o + p + f + 1):  # cell index of window i is i*s + j
+            i0, i1 = max(-(j // s), 0), min((b - a - j) // s, m - 1)
+            if i0 <= i1:
+                shifts.append((slice(i0, i1 + 1), slice(i0 * s + j, i1 * s + j + 1, s)))
+        counts = [min(c + f, b) - max(c - p, a) + 1 for c in range(kmin * s, kmax * s + 1, s)]
+        return np.arange(kmin, kmax + 1), np.array(counts, np.float64), shifts
+
+    def fold(self, region, block, keep, agg):
+        kind = agg.combine
+        if kind is None:
+            return super().fold(region, block, keep, agg)
+        axes = [
+            self._axis(*dim)
+            for dim in zip(region.lo, region.hi, self._box.lo, self._prec, self._foll, self._counts)
+        ]
+        values = None if None in axes else agg.window_values(block, keep)
+        if values is None or (
+            kind == "sum"
+            and values.dtype == np.int64
+            and max(-int(values.min()), int(values.max())) * self._cells >= 2**63
+        ):
+            return super().fold(region, block, keep, agg)
+        gids = _ravel([centers for centers, _, _ in axes], self._counts)
+        if keep is None:  # every window holds all its cells
+            counts = np.ones(())
+            for n in np.ix_(*(n for _, n, _ in axes)):
+                counts = counts * n
+        else:
+            counts = _slide(np.where(keep, 1.0, 0.0), axes, np.add, 0.0)
+        counts = counts.ravel()
+        if kind == "count":
+            aggregate = np.zeros(len(gids), np.int64)
+        elif kind == "sum":
+            aggregate = _slide(values, axes, np.add, 0).ravel()
+        else:  # start from a value no window's extreme passes
+            start = values.max() if kind == "min" else values.min()
+            ufunc = np.minimum if kind == "min" else np.maximum
+            aggregate = _slide(values, axes, ufunc, start).ravel()
+        if keep is not None:
+            seen = np.flatnonzero(counts)
+            gids, aggregate, counts = gids[seen], aggregate[seen], counts[seen]
+        return Summaries(gids, aggregate, counts)
+
+
+def _slide(values: np.ndarray, axes, ufunc, start) -> np.ndarray:
+    """``ufunc`` over each window's cells, one dimension after another:
+    every (window slice, cell slice) of a dimension combines a shifted slab
+    of ``values`` into the windows, in place."""
+    for axis, (centers, _, shifts) in enumerate(axes):
+        shape = list(values.shape)
+        shape[axis] = len(centers)
+        out = np.full(shape, start, values.dtype)
+        lead = (slice(None),) * axis
+        for windows, cells in shifts:
+            target = out[lead + (windows,)]
+            ufunc(target, values[lead + (cells,)], out=target)
+        values = out
+    return values
+
 
 def _floor_div(a: int, b: int, d: int) -> np.ndarray:
     """x // d for every integer x from a to b, as runs of equal quotients."""
@@ -277,30 +404,7 @@ def build_membership(geom: GroupGeometry) -> Membership:
 
     if geom.kind == "sliding":
         assert isinstance(params, SlidingParams)
-        counts = _sliding_center_counts(box, params)
-        stride = min(params.stride, max(box.shape))
-        prec = [min(p, n - 1) for p, n in zip(params.preceding, box.shape)]
-        foll = [min(f, n - 1) for f, n in zip(params.following, box.shape)]
-
-        def sliding_block(region: BoundingBox, keep):
-            # per dimension, (position, center index) pairs of the covering
-            # windows; every combination across dimensions is one membership
-            cell_axes, center_axes = [], []
-            for rl, rh, l, p, f, n in zip(region.lo, region.hi, box.lo, prec, foll, counts):
-                a, b = rl - l, rh - l
-                kmin = np.maximum(_floor_div(a - f + stride - 1, b - f + stride - 1, stride), 0)
-                kmax = np.minimum(_floor_div(a + p, b + p, stride), n - 1)
-                pos, k = _expand(np.arange(b - a + 1), kmin, np.maximum(kmax - kmin + 1, 0))
-                cell_axes.append(pos)
-                center_axes.append(k)
-            cells = _ravel(cell_axes, region.shape)
-            gids = _ravel(center_axes, counts)
-            if keep is not None:
-                kept = keep.ravel()[cells]
-                cells, gids = cells[kept], gids[kept]
-            return cells, gids
-
-        return Membership(box, sliding_block)
+        return _Windows(box, params)
 
     return Membership(box, partial(_ring_pairs, geom))
 

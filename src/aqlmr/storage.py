@@ -276,9 +276,10 @@ def generate_array(
     if schema.nbytes > sys.maxsize:
         raise StoreError(f"array {schema.name!r} is too large to generate ({schema.nbytes} bytes)")
     n = schema.cell_count
-    try:
+    dtype = schema.dtype
+    try:  # one array of the file's size, written as it is
         if fill == "ramp":
-            values = np.arange(n)
+            values = np.arange(n, dtype=dtype)
         elif fill == "uniform":
             rng = np.random.default_rng(seed)
             if schema.element_type == "float64":
@@ -291,14 +292,14 @@ def generate_array(
                 c = float(text) if text else 0.0
             except ValueError:
                 raise StoreError(f"bad constant fill {fill!r}")
-            values = np.full(n, c)
+            values = np.full(n, c, dtype)
         else:
             raise StoreError(f"unknown fill {fill!r} (expected ramp, uniform, or constant:<c>)")
-        data = np.asarray(values).astype(schema.dtype).tobytes()
+        values = values.astype(dtype, copy=False)
     except MemoryError:
         raise StoreError(f"not enough memory to generate array {schema.name!r}") from None
     out_path = Path(out_path)
-    out_path.write_bytes(data)
+    values.tofile(out_path)
     return out_path
 
 
@@ -306,7 +307,7 @@ def write_array(schema: ArraySchema, values: np.ndarray, out_path: Path | str) -
     """Write arbitrary cell values (shaped to the schema's extents or flat)."""
     arr = np.asarray(values).reshape(schema.extents)
     out_path = Path(out_path)
-    out_path.write_bytes(arr.astype(schema.dtype).tobytes())
+    arr.astype(schema.dtype, copy=False).tofile(out_path)  # in C order, whatever arr's layout
     return out_path
 
 

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ class TestMedian:
         agg = default_registry().get("median")
         with pytest.raises(AggregateDataError, match="NaN"):
             agg.holistic_result([1.0, float("nan")])
+
+
+    def test_group_sort_on_either_side_of_uint16(self):
+        """Group ids below 2**16 sort as uint16, larger ones as int64: the
+        medians of the same groups come out equal and in the same order, for
+        MEDIAN's vector hook and the base class's per-group loop."""
+        rng = np.random.default_rng(6)
+        group = rng.integers(0, 4, 3000)
+        values = rng.integers(0, 40, 3000) / 4
+        agg = default_registry().get("median")
+        results = []
+        for top in (2**16 - 1, 2**16):
+            gids = np.array([0, 7, top - 1, top])[group]
+            want = [
+                statistics.median(values[gids == g].tolist()) for g in sorted(set(gids.tolist()))
+            ]
+            assert agg.holistic_results(gids, values) == want
+            assert Aggregator.holistic_results(agg, gids, values) == want
+            results.append(want)
+        assert results[0] == results[1]
 
 
 class TestRegistry:

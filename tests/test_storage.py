@@ -19,6 +19,7 @@ from aqlmr import (
     load_schema,
     read_split,
     save_schema,
+    write_array,
 )
 from aqlmr.engine import Counters
 
@@ -152,6 +153,33 @@ class TestGenerate:
         built = array_factory(element_type="int64", fill="uniform", seed=3)
         assert built.values.dtype == np.dtype("<i8")
         assert np.all((built.values >= 0) & (built.values < 1000))
+
+    @pytest.mark.parametrize("element_type", ["float64", "int64"])
+    @pytest.mark.parametrize("fill", ["ramp", "uniform", "constant:-2.5", "constant"])
+    def test_file_bytes_are_the_values_bytes(self, tmp_path, element_type, fill):
+        """The file holds the fill's values cast to the element type, row
+        major: what a copy through tobytes() held."""
+        s = ArraySchema("A", element_type, "val", dims2(5, 3, 2, 2))
+        n = s.cell_count
+        if fill == "ramp":
+            values = np.arange(n)
+        elif fill == "uniform":
+            rng = np.random.default_rng(4)
+            values = rng.random(n) if element_type == "float64" else rng.integers(0, 1000, n)
+        else:
+            values = np.full(n, -2.5 if ":" in fill else 0.0)
+        path = generate_array(s, fill, tmp_path / "a.bin", seed=4)
+        assert path.read_bytes() == np.asarray(values).astype(s.dtype).tobytes()
+
+    @pytest.mark.parametrize("element_type", ["float64", "int64"])
+    def test_write_array_bytes_in_row_major_order(self, tmp_path, element_type):
+        s = ArraySchema("A", element_type, "val", dims2(3, 4, 2, 2))
+        rng = np.random.default_rng(5)
+        ints = rng.integers(-(2**62), 2**62, (4, 3))
+        for values in (ints, ints.T, (ints / 7).T, ints.T.ravel().tolist()):
+            path = write_array(s, values, tmp_path / "a.bin")
+            expected = np.asarray(values).reshape(3, 4).astype(s.dtype).tobytes()
+            assert path.read_bytes() == expected
 
     def test_unknown_fill(self, tmp_path):
         s = ArraySchema("A", "float64", "val", dims2(2, 2, 2, 2))

@@ -7,20 +7,23 @@ at 1e15 plus noise, and int64 values near +-2**62, whose sums overflow
 int64. Filters that empty some or all splits and single-cell boxes come up
 on their own. Block membership is checked against each shape's
 definition: group extents for grids and windows, exact integer distances
-for rings.
+for rings. The optimized sliding map's window kernels are checked against
+the pair fold they replace, on every split of ragged chunkings.
 """
 
 import math
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aqlmr
 from aqlmr import (
     Aggregator,
+    AggregateError,
     AggregatorRegistry,
     ArraySchema,
     BoundingBox,
@@ -32,6 +35,7 @@ from aqlmr import (
     SlidingParams,
     analyze,
     build_membership,
+    default_registry,
     group_extent,
     make_geometry,
     parse,
@@ -40,6 +44,7 @@ from aqlmr import (
     save_schema,
     write_array,
 )
+from aqlmr.grouping import Membership
 from conftest import build_array
 from oracles import aggregate_direct, assert_close, group_value_lists, naive_emission_count
 from test_readme import readme_blocks
@@ -362,3 +367,191 @@ def test_builtins_never_take_the_scalar_loop(tmp_path, monkeypatch, mode, elemen
                     assert_close(got, want, context=context)
                 else:
                     assert got == want and type(got) is type(want), f"{context}: {got!r}"
+
+
+KERNEL_AGGREGATES = ("sum", "count", "avg", "min", "max", "geomean")
+
+
+def chunk_regions(box, starts, chunks):
+    """The box cut by chunks of the given sizes whose grid starts at
+    ``starts``: ragged at both ends when the box is not aligned."""
+    pieces = []
+    for l, h, s, c in zip(box.lo, box.hi, starts, chunks):
+        axis, a = [], l
+        while a <= h:
+            b = min(h, s + ((a - s) // c + 1) * c - 1)
+            axis.append((a, b))
+            a = b + 1
+        pieces.append(axis)
+    return [BoundingBox(*zip(*combo)) for combo in product(*pieces)]
+
+
+def window_cells(params, box) -> int:
+    """The most cells one window holds: the int64 guard's factor."""
+    return prod(
+        min(p, n - 1) + min(f, n - 1) + 1
+        for p, f, n in zip(params.preceding, params.following, box.shape)
+    )
+
+
+@st.composite
+def window_folds(draw):
+    ndim = draw(st.integers(1, 3))
+    side = 12 if ndim < 3 else 6
+    lo = tuple(draw(st.integers(-5, 5)) for _ in range(ndim))
+    shape = tuple(draw(st.integers(1, side)) for _ in range(ndim))
+    box = BoundingBox(lo, tuple(l + n - 1 for l, n in zip(lo, shape)))
+    reach = st.integers(0, 4)
+    params = SlidingParams(
+        tuple(draw(reach) for _ in range(ndim)),
+        tuple(draw(reach) for _ in range(ndim)),
+        draw(st.integers(1, 3)),
+    )
+    agg = draw(st.sampled_from(KERNEL_AGGREGATES))
+    ints = draw(st.booleans())
+    return {
+        "box": box,
+        "params": params,
+        "starts": [l - draw(st.integers(0, 4)) for l in lo],
+        "chunks": [draw(st.integers(1, n)) for n in shape],
+        "agg": agg,
+        "ints": ints,
+        # int64 magnitudes just under, at, just over and well over the guard
+        "guard": draw(st.sampled_from([None, -1, 0, 1, "far"])),
+        # a where mask keeping this share of cells (0 empties every split)
+        "density": draw(st.sampled_from([None, 0.0, 0.15, 0.6])),
+        # one NaN cell (floats), or a non-positive one (GEOMEAN)
+        "bad": (agg == "geomean" or not ints) and draw(st.integers(0, 5)) == 0,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def window_values(case, rng) -> np.ndarray:
+    shape, agg = case["box"].shape, case["agg"]
+    if case["ints"] and case["guard"] is None:
+        values = rng.integers(1 if agg == "geomean" else -1000, 1000, shape, endpoint=True)
+    elif case["ints"]:
+        # one sign and within 1 of max |v|, so full windows sum to about
+        # max |v| * cells, which overflows int64 past the guard
+        top = 2**63 // window_cells(case["params"], case["box"])
+        top = top * 3 // 2 if case["guard"] == "far" else top + case["guard"]
+        top = min(max(top, 2), 2**63 - 1)
+        values = top - rng.integers(0, 2, shape)
+        values.flat[rng.integers(values.size)] = top  # max |v| is the guard's
+        if agg != "geomean" and case["seed"] % 2:
+            values = -values
+    elif agg == "geomean":
+        values = rng.uniform(0.25, 4.0, shape)
+    else:
+        values = rng.normal(0.0, 10.0 ** rng.integers(0, 16), shape)
+    if case["bad"]:
+        values.flat[rng.integers(values.size)] = 0 if agg == "geomean" else np.nan
+    return values
+
+
+def fold_or_error(fold, *args):
+    try:
+        return fold(*args)
+    except AggregateError as exc:
+        return type(exc), str(exc), exc.group
+
+
+class PairFoldSpy:
+    """Wraps a built-in to list the pair folds it is asked for."""
+
+    def __init__(self, agg):
+        self.agg, self.folded = agg, []
+
+    def __getattr__(self, name):
+        return getattr(self.agg, name)
+
+    def fold_groups(self, gids, values):
+        self.folded.append(len(gids))
+        return self.agg.fold_groups(gids, values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=window_folds())
+@example(  # full 3x3 windows whose int64 sums pass 2**63
+    case={
+        "box": BoundingBox((0, 0), (4, 4)),
+        "params": SlidingParams((1, 1), (1, 1), 1),
+        "starts": [0, 0],
+        "chunks": [4, 5],
+        "agg": "sum",
+        "ints": True,
+        "guard": "far",
+        "density": None,
+        "bad": False,
+        "seed": 0,
+    }
+)
+def test_window_kernel_matches_pair_fold(case):
+    """On every split, the sliding membership's fold gives the rows and
+    counts the pair fold gives, and the same error for a NaN or
+    non-positive GEOMEAN cell. MIN, MAX, COUNT and int64 SUM/AVG are exact;
+    float SUM/AVG/GEOMEAN sum in another order, so they agree within 1e-12
+    of the group's sum of magnitudes (relative, for one sign). Only int64
+    sums past the guard, bad cells and regions between windows fold
+    pairs."""
+    rng = np.random.default_rng(case["seed"])
+    box, params = case["box"], case["params"]
+    values = window_values(case, rng)
+    keep = None if case["density"] is None else rng.random(box.shape) < case["density"]
+    agg = default_registry().get(case["agg"])
+    spy = PairFoldSpy(agg)
+    membership = build_membership(make_geometry("sliding", box, params))
+    top = int(np.abs(values).max()) if case["ints"] else 0
+    past_guard = case["agg"] in ("sum", "avg") and top * window_cells(params, box) >= 2**63
+    for region in chunk_regions(box, case["starts"], case["chunks"]):
+        at = tuple(slice(a - l, b - l + 1) for a, b, l in zip(region.lo, region.hi, box.lo))
+        block, mask = values[at], None if keep is None else keep[at]
+        got = fold_or_error(membership.fold, region, block, mask, spy)
+        want = fold_or_error(Membership.fold, membership, region, block, mask, agg)
+        context = f"{case} region {region}"
+        if isinstance(want, tuple):
+            assert got == want, context
+            continue
+        if not (case["bad"] or past_guard):
+            assert not any(spy.folded), context  # every window came from the kernel
+        assert got.gid.tolist() == want.gid.tolist(), context
+        assert got.count.tolist() == want.count.tolist(), context
+        assert got.ext is None and want.ext is None
+        if case["agg"] in ("count", "min", "max") or case["ints"] and case["agg"] != "geomean":
+            assert got.aggregate.tolist() == want.aggregate.tolist(), context
+            continue
+        cells, gids = membership.block(region, mask)
+        if not len(gids):
+            continue
+        lifted = block.ravel()[cells]
+        if case["agg"] == "geomean":
+            lifted = np.log(lifted)
+        scale = np.bincount(gids - gids.min(), np.abs(lifted))[want.gid - gids.min()]
+        assert np.all(np.abs(got.aggregate - want.aggregate) <= 1e-12 * scale), context
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=window_folds(), huge=st.sampled_from([1e300, -1e300, math.inf, -math.inf]))
+def test_window_kernel_keeps_a_huge_cell_local(case, huge):
+    """A window without the huge or infinite cell reads bit for bit what it
+    reads when that cell is 0.0: the kernel never subtracts, so no large
+    value leaks into its neighbours (a summed-area table fails this)."""
+    rng = np.random.default_rng(case["seed"])
+    box = case["box"]
+    geom = make_geometry("sliding", box, case["params"])
+    membership = build_membership(geom)
+    values = rng.normal(0.0, 1.0, box.shape)
+    at = tuple(int(rng.integers(n)) for n in box.shape)
+    cell = tuple(l + i for l, i in zip(box.lo, at))
+    zero, spiked = values.copy(), values.copy()
+    zero[at], spiked[at] = 0.0, huge
+    for name in ("sum", "avg", "min", "max"):
+        agg = default_registry().get(name)
+        for region in chunk_regions(box, case["starts"], case["chunks"]):
+            sl = tuple(slice(a - l, b - l + 1) for a, b, l in zip(region.lo, region.hi, box.lo))
+            base = membership.fold(region, zero[sl], None, agg)
+            got = membership.fold(region, spiked[sl], None, agg)
+            assert got.gid.tolist() == base.gid.tolist()
+            for gid, a, b in zip(got.gid.tolist(), got.aggregate, base.aggregate):
+                if not group_extent(gid, geom).contains(cell):
+                    assert a.tobytes() == b.tobytes(), f"{name} {case} group {gid}: {a!r} != {b!r}"
