@@ -17,6 +17,7 @@ extension slot), and records entering reducers.
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Sequence
 
@@ -33,7 +34,7 @@ from .aggregates import (
 )
 from .grouping import Membership, build_membership
 from .planner import JobPlan
-from .storage import ArraySplit, StoreError, compute_splits, read_block
+from .storage import ArraySplit, StoreError, compute_splits, read_block, read_blocks
 
 KEY_BYTES = 8
 RAW_VALUE_BYTES = 8
@@ -112,6 +113,26 @@ def _concat(tables: list):
     return type(tables[0])(*columns)
 
 
+def _map_block(
+    split: ArraySplit,
+    block: np.ndarray,
+    keep: np.ndarray | None,
+    membership: Membership,
+    agg: Aggregator | None,
+    counters: Counters,
+) -> Pairs | Summaries:
+    """One map task on its read block: without ``agg`` (naive), one (group
+    id, value) pair per group each kept cell belongs to; with it
+    (optimized), one summary per group seen in the split."""
+    if agg is None:
+        cells, gids = membership.block(split.region, keep)
+        out = Pairs(gids, block.ravel()[cells])
+    else:
+        out = membership.fold(split.region, block, keep, agg)
+    counters.add("map_output_records", len(out))
+    return out
+
+
 def naive_map(
     split: ArraySplit,
     membership: Membership,
@@ -120,10 +141,7 @@ def naive_map(
 ) -> Pairs:
     """Emit one (group id, value) pair per group the cell belongs to."""
     block, keep = read_block(split, predicate, counters)
-    cells, gids = membership.block(split.region, keep)
-    out = Pairs(gids, block.ravel()[cells])
-    counters.add("map_output_records", len(out))
-    return out
+    return _map_block(split, block, keep, membership, None, counters)
 
 
 def optimized_map(
@@ -135,9 +153,7 @@ def optimized_map(
 ) -> Summaries:
     """Fold values into one summary per group seen in this split."""
     block, keep = read_block(split, predicate, counters)
-    out = membership.fold(split.region, block, keep, agg)
-    counters.add("map_output_records", len(out))
-    return out
+    return _map_block(split, block, keep, membership, agg, counters)
 
 
 @dataclass
@@ -244,23 +260,21 @@ def run_job(
 
     counters = Counters()
     membership = build_membership(plan.geometry)
-    predicate = plan.query.predicate
-    optimized = plan.mode == "optimized"
 
     t0 = time.perf_counter()
+    map_agg = agg if plan.mode == "optimized" else None
     map_outputs = []
-    for split in splits:
-        try:
-            if optimized:
-                out = optimized_map(split, membership, agg, predicate, counters)
-            else:
-                out = naive_map(split, membership, predicate, counters)
-        except (AggregateError, StoreError) as exc:
-            raise EngineError(f"map task (split {split.split_id}): {exc}") from exc
-        map_outputs.append(out)
+    # closed at once when a map task raises, not when its traceback is freed
+    with closing(read_blocks(splits, plan.query.predicate, counters)) as blocks:
+        for split in splits:
+            try:  # no name holds the last block through the shuffle and reduce
+                out = _map_block(split, *next(blocks), membership, map_agg, counters)
+            except (AggregateError, StoreError) as exc:
+                raise EngineError(f"map task (split {split.split_id}): {exc}") from exc
+            map_outputs.append(out)
     t1 = time.perf_counter()
 
-    value_bytes = summary_value_bytes(agg) if optimized else RAW_VALUE_BYTES
+    value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
     rows = shuffle(map_outputs, counters, value_bytes=value_bytes).rows
     del map_outputs  # the shuffled rows are a copy
     t2 = time.perf_counter()

@@ -4,11 +4,15 @@ An array lives as two files: ``<name>.bin`` holding raw little-endian cells in
 row-major order with no header, and ``<name>.meta.json`` describing the schema.
 Chunking is logical: it determines split boundaries, not the physical layout.
 A split is one chunk clipped to the query box, and reading it fills one n-d
-block with exactly the region's cells, one row segment at a time, so a scan
-never reads bytes outside its box. The value filter is applied to the whole
-block at once. Each read checks the data file's size against the metadata.
-read_block returns the block and the filter's mask, for the engine;
-read_split yields the kept cells one record at a time.
+block with exactly the region's cells, so a scan never reads bytes outside
+its box. A job's splits are read in bands: consecutive splits side by side
+along the last dimension, up to BAND_BYTES of the box's rows, each band with
+one positioned read per run of rows that lie next to each other in the file.
+The data file is opened and its size checked against the metadata once per
+job, and every read checks that it got all its bytes. The value filter is
+applied to each block at once. read_blocks yields each split's block and the
+filter's mask, for the engine; read_block reads one split; read_split yields
+the kept cells one record at a time.
 """
 
 from __future__ import annotations
@@ -16,11 +20,12 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import product
 from math import prod
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -351,23 +356,86 @@ def compute_splits(
     return splits
 
 
-def _read_block(split: ArraySplit) -> np.ndarray:
-    """The split's region as an n-d array, read one row segment at a time."""
-    schema, region = split.schema, split.region
-    if split.data_path is None:
-        raise StoreError(f"array {schema.name!r} has no data file")
-    block = np.empty(region.shape, schema.dtype)
-    rows = block.reshape(-1, region.shape[-1])
-    # file offset of each row segment: the region's first cell plus the
-    # row's position along the outer dimensions' strides
+BAND_BYTES = 256 * 1024  # most bytes of the box's rows one band holds
+_RUN_BYTES = 1 << 30  # largest merged read; Linux reads at most ~2 GiB at once
+
+
+def _bands(splits: Sequence[ArraySplit]) -> Iterator[list[ArraySplit]]:
+    """Runs of consecutive splits whose regions share every dimension but the
+    last and sit side by side along it, each run at most BAND_BYTES of cells
+    or one split."""
+    band: list[ArraySplit] = []
+    for split in splits:
+        if band:
+            first, last, region = band[0].region, band[-1].region, split.region
+            rows = first.cell_count // first.shape[-1]
+            if not (
+                region.lo[:-1] == first.lo[:-1]
+                and region.hi[:-1] == first.hi[:-1]
+                and region.lo[-1] == last.hi[-1] + 1
+                and rows * (region.hi[-1] - first.lo[-1] + 1) * ELEMENT_SIZE <= BAND_BYTES
+            ):
+                yield band
+                band = []
+        band.append(split)
+    if band:
+        yield band
+
+
+def _read_box(fd: int, path: Path, schema: ArraySchema, box: BoundingBox) -> np.ndarray:
+    """The box as an n-d array, one positioned read per run of rows that lie
+    next to each other in the file."""
+    shape = box.shape
+    block = np.empty(shape, schema.dtype)
+    # a run spans dimension k and every later one, which the box covers whole
+    k = schema.ndim - 1
+    while (
+        k > 0
+        and shape[k] == schema.dims[k].extent
+        and prod(shape[k - 1 :]) * ELEMENT_SIZE <= _RUN_BYTES
+    ):
+        k -= 1
+    runs = block.reshape(-1, prod(shape[k:]))
+    # file offset of each run: the box's first cell plus the run's position
+    # along the outer dimensions' strides
     strides = schema.strides()
-    first = sum((l - d.start) * s for l, d, s in zip(region.lo, schema.dims, strides))
-    outer = np.ix_(*(np.arange(n) * s for n, s in zip(region.shape[:-1], strides[:-1])))
+    first = sum((l - d.start) * s for l, d, s in zip(box.lo, schema.dims, strides))
+    outer = np.ix_(*(np.arange(n) * s for n, s in zip(shape[:k], strides[:k])))
     offsets = ((first + sum(outer, np.zeros((), np.int64))) * ELEMENT_SIZE).ravel()
-    # one positioned read per row, not np.memmap: a file cut short during
-    # the read must raise StoreError, where a memory map would die of SIGBUS
+    # positioned reads, not np.memmap: a file cut short during the read must
+    # raise StoreError, where a memory map would die of SIGBUS
+    for run, offset in zip(runs, offsets.tolist()):
+        if os.preadv(fd, [run], offset) != run.nbytes:
+            raise StoreError(
+                f"short read at offset {offset} in {path}: "
+                "data file does not match metadata"
+            )
+    return block
+
+
+def read_blocks(
+    splits: Sequence[ArraySplit],
+    predicate: ValuePredicate | None = None,
+    counters: "Counters | None" = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Each split's region as an n-d array, and the predicate's mask over it
+    (None without a predicate), in split order.
+
+    The splits are those of one array, as compute_splits makes them. The
+    data file is opened, and its size checked against the metadata, before
+    the first read. Splits are read a band at a time (see _bands), and each
+    split's block is a contiguous copy of its slice of the band; only one
+    band is held at once. Close the iterator to close the file before it is
+    exhausted.
+
+    bytes_read counts every byte of the region regardless of the predicate;
+    map_input_records counts only the cells the mask keeps.
+    """
+    schema, path = splits[0].schema, splits[0].data_path
+    if path is None:
+        raise StoreError(f"array {schema.name!r} has no data file")
     try:
-        f = open(split.data_path, "rb", buffering=0)
+        f = open(path, "rb", buffering=0)
     except OSError as exc:
         raise StoreError(f"array {schema.name!r}: cannot open its data file: {exc}") from exc
     with f:
@@ -375,16 +443,27 @@ def _read_block(split: ArraySplit) -> np.ndarray:
         size = os.fstat(fd).st_size
         if size != schema.nbytes:
             raise StoreError(
-                f"{split.data_path} holds {size} bytes where {schema.nbytes} are "
+                f"{path} holds {size} bytes where {schema.nbytes} are "
                 "expected: data file does not match metadata"
             )
-        for row, offset in zip(rows, offsets.tolist()):
-            if os.preadv(fd, [row], offset) != row.nbytes:
-                raise StoreError(
-                    f"short read at offset {offset} in {split.data_path}: "
-                    "data file does not match metadata"
-                )
-    return block
+        for band in _bands(splits):
+            lo = band[0].region.lo
+            data = _read_box(fd, path, schema, BoundingBox(lo, band[-1].region.hi))
+            for split in band:
+                if len(band) == 1:
+                    block = data
+                else:
+                    a = split.region.lo[-1] - lo[-1]
+                    block = data[..., a : a + split.region.shape[-1]].copy()
+                keep = None if predicate is None else predicate.mask(block)
+                if counters is not None:
+                    counters.add("bytes_read", block.nbytes)
+                    counters.add(
+                        "map_input_records",
+                        block.size if keep is None else int(np.count_nonzero(keep)),
+                    )
+                yield block, keep
+            del data  # before the next band is read
 
 
 def read_block(
@@ -392,18 +471,9 @@ def read_block(
     predicate: ValuePredicate | None = None,
     counters: "Counters | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The split's region as an n-d array, and the predicate's mask over it
-    (None without a predicate).
-
-    bytes_read counts every byte of the region regardless of the predicate;
-    map_input_records counts only the cells the mask keeps.
-    """
-    block = _read_block(split)
-    keep = None if predicate is None else predicate.mask(block)
-    if counters is not None:
-        counters.add("bytes_read", block.nbytes)
-        counters.add("map_input_records", block.size if keep is None else int(np.count_nonzero(keep)))
-    return block, keep
+    """One split's block and mask, as read_blocks gives them."""
+    with closing(read_blocks([split], predicate, counters)) as blocks:
+        return next(blocks)
 
 
 def read_split(

@@ -4,6 +4,7 @@ import pytest
 
 from aqlmr.cli import main
 from aqlmr.planner import emit_param_config, load_param_config
+from test_engine import record_reads, stale_file_size
 
 
 @pytest.fixture
@@ -223,6 +224,17 @@ class TestRun:
         rc = main(["run", "--query", GRID_Q, "--data-dir", str(data_dir)])
         assert rc == 4
         assert "does not match metadata" in capsys.readouterr().err
+
+    def test_file_shrinking_between_bands_is_exit_4(self, data_dir, capsys, monkeypatch):
+        path = data_dir / "A.bin"
+        path.write_bytes(path.read_bytes()[:-8])
+        stale_file_size(monkeypatch, 16 * 16 * 8)
+        reads = record_reads(monkeypatch)
+        rc = main(["run", "--query", GRID_Q, "--data-dir", str(data_dir)])
+        assert rc == 4
+        assert "short read" in capsys.readouterr().err
+        # four bands of four 4 x 4 splits, each one read; the last is short
+        assert reads == [(0, 512), (512, 512), (1024, 512), (1536, 504)]
 
     def test_downgrade_warning_on_stderr(self, data_dir, capsys):
         rc = main(

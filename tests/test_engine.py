@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,36 @@ from aqlmr.engine import (
     SUMMARY_EXT_BYTES,
     Counters,
 )
+from aqlmr.storage import _bands, compute_splits
 from oracles import (
     assert_close,
     expected_results,
     group_value_lists,
     naive_emission_count,
 )
+
+
+def stale_file_size(monkeypatch, size):
+    """Make os.fstat report ``size`` bytes for every file."""
+    real_fstat = os.fstat
+
+    def stale_fstat(fd):
+        return os.stat_result(real_fstat(fd)[:6] + (size,) + real_fstat(fd)[7:])
+
+    monkeypatch.setattr(os, "fstat", stale_fstat)
+
+
+def record_reads(monkeypatch):
+    """A list that gets the (offset, bytes read) of every os.preadv."""
+    reads = []
+    real_preadv = os.preadv
+
+    def recording_preadv(fd, buffers, offset):
+        reads.append((offset, real_preadv(fd, buffers, offset)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(os, "preadv", recording_preadv)
+    return reads
 
 
 def run_query(built, text, mode="auto", workers=1):
@@ -371,6 +397,34 @@ class TestErrors:
             run_query(built, text, "optimized")
         with pytest.raises(EngineError, match=r"reduce \(group 0\): .*got -2\.0"):
             run_query(built, text, "naive")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_map_error_closes_the_data_file(self, array_factory):
+        # 8 x 64 in 4 x 8 chunks: two bands of eight splits, and split 2
+        # holds a zero, so the map fails halfway through the first band
+        vals = np.ones((8, 64))
+        vals[1, 20] = 0.0
+        built = array_factory(extents=(8, 64), chunks=(4, 8), values=vals)
+        splits = compute_splits(built.schema, built.schema.whole_box(), built.data_path)
+        assert [len(band) for band in _bands(splits)] == [8, 8]
+        text = "select geomean(val) from A grid as (partition by x 2, y 2)"
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(EngineError, match=r"map task \(split 2\): .*positive") as excinfo:
+            run_query(built, text, "optimized")
+        # the traceback, which holds run_job's frame, is still alive
+        assert excinfo.tb is not None
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_file_shrinking_between_bands(self, array_factory, monkeypatch):
+        # the size check passes, the first band reads whole, the second
+        # comes back short
+        built = array_factory(extents=(8, 64), chunks=(4, 8))
+        built.data_path.write_bytes(built.data_path.read_bytes()[:-8])
+        stale_file_size(monkeypatch, built.schema.nbytes)
+        reads = record_reads(monkeypatch)
+        with pytest.raises(EngineError, match="short read .* does not match metadata"):
+            run_query(built, "select sum(val) from A grid as (partition by x 2, y 2)")
+        assert reads == [(0, 2048), (2048, 2040)]
 
     def test_missing_data_file(self, array_factory):
         built = array_factory(extents=(4, 4), chunks=(2, 2))

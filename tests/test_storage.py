@@ -1,5 +1,8 @@
 import json
 import os
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +24,9 @@ from aqlmr import (
     save_schema,
     write_array,
 )
+from aqlmr import storage
 from aqlmr.engine import Counters
+from aqlmr.storage import read_blocks
 
 
 def dims2(ex, ey, cx, cy):
@@ -445,3 +450,179 @@ def test_block_read_matches_numpy(tmp_path_factory, case):
     assert [type(v) for _, v in got] == [type(v) for _, v in expect]
     assert counters.bytes_read == box.cell_count * 8
     assert counters.map_input_records == len(expect)
+
+
+def _box_cells(schema, box):
+    """The file's cell indices inside ``box``, as a set."""
+    index = np.arange(schema.cell_count).reshape(schema.extents)
+    origin = tuple(d.start for d in schema.dims)
+    return set(
+        index[tuple(slice(l - o, h - o + 1) for l, h, o in zip(box.lo, box.hi, origin))]
+        .ravel()
+        .tolist()
+    )
+
+
+@st.composite
+def _band_case(draw):
+    """A 1-3-d schema with nonzero starts and ragged chunks; a box that may
+    cut chunks in its leading dimensions and spans the array whole from a
+    drawn dimension on; the box's splits, some of them, or any list of the box's
+    and the whole array's splits; float64 or int64 values; an optional
+    where; a band cap from one cell to the default; and a cap on merged
+    reads."""
+    ndim = draw(st.integers(1, 3))
+    dims = []
+    for name in "xyz"[:ndim]:
+        start = draw(st.integers(-6, 6))
+        extent = draw(st.integers(1, 9))
+        chunk = draw(st.integers(1, extent))
+        dims.append(DimSpec(name, start, start + extent - 1, chunk))
+    element_type = draw(st.sampled_from(["float64", "int64"]))
+    schema = ArraySchema("P", element_type, "val", tuple(dims))
+    full = draw(st.integers(0, ndim))
+    lo, hi = [], []
+    for i, d in enumerate(dims):
+        if i >= full:
+            lo.append(d.start)
+            hi.append(d.end)
+        else:
+            a, b = draw(st.integers(d.start, d.end)), draw(st.integers(d.start, d.end))
+            lo.append(min(a, b))
+            hi.append(max(a, b))
+    splits = compute_splits(schema, BoundingBox(tuple(lo), tuple(hi)))
+    pick = draw(st.integers(0, 5))
+    if pick == 0:  # some of them, in order
+        chosen = draw(st.lists(st.booleans(), min_size=len(splits), max_size=len(splits)))
+        splits = [sp for sp, c in zip(splits, chosen) if c] or splits[-1:]
+    elif pick == 1:  # any splits of the array, in any order
+        pool = splits + compute_splits(schema, schema.whole_box())
+        splits = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    n = schema.cell_count
+    if element_type == "float64":
+        cells = st.floats(allow_nan=False)
+    else:
+        cells = st.integers(-(2**63), 2**63 - 1)
+    values = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=schema.dtype)
+    predicate = None
+    if draw(st.booleans()):
+        predicate = ValuePredicate(
+            (Comparison("val", draw(st.sampled_from(_OPS)), draw(st.sampled_from(values.tolist()))),)
+        )
+    band_bytes = draw(st.sampled_from([8, 16, 24, 64, 200, storage.BAND_BYTES]))
+    run_bytes = draw(st.sampled_from([8, 40, storage._RUN_BYTES]))
+    return schema, splits, values.reshape(schema.extents), predicate, band_bytes, run_bytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_band_case())
+def test_band_reads_match_numpy(tmp_path_factory, case):
+    schema, splits, values, predicate, band_bytes, run_bytes = case
+    path = tmp_path_factory.mktemp("band") / "P.bin"
+    path.write_bytes(values.tobytes())
+    splits = [replace(sp, data_path=path) for sp in splits]
+    origin = tuple(d.start for d in schema.dims)
+    reads = []
+    real_preadv = os.preadv
+
+    def recording_preadv(fd, buffers, offset):
+        n = real_preadv(fd, buffers, offset)
+        reads.append((offset, n))
+        return n
+
+    counters = Counters()
+    with mock.patch.object(storage, "BAND_BYTES", band_bytes), mock.patch.object(
+        storage, "_RUN_BYTES", run_bytes
+    ), mock.patch.object(os, "preadv", recording_preadv):
+        got = list(read_blocks(splits, predicate, counters))
+        bands = list(storage._bands(splits))
+    assert len(got) == len(splits)
+    kept = 0
+    for sp, (block, keep) in zip(splits, got):
+        expect = values[
+            tuple(slice(l - o, h - o + 1) for l, h, o in zip(sp.region.lo, sp.region.hi, origin))
+        ]
+        assert block.dtype == schema.dtype and block.flags.c_contiguous
+        assert block.shape == expect.shape and block.tobytes() == expect.tobytes()
+        if predicate is None:
+            assert keep is None
+            kept += block.size
+        else:
+            assert np.array_equal(keep, predicate.mask(expect))
+            kept += int(np.count_nonzero(keep))
+    assert counters.bytes_read == sum(sp.region.cell_count for sp in splits) * 8
+    assert counters.map_input_records == kept
+    # bands: runs of the splits in order, capped unless alone
+    assert [sp for band in bands for sp in band] == splits
+    for band in bands:
+        assert len(band) == 1 or sum(sp.region.cell_count for sp in band) * 8 <= band_bytes
+    # each split's bytes are read once, and no byte outside the splits
+    read_cells = [c for offset, n in reads for c in range(offset // 8, (offset + n) // 8)]
+    assert all(offset % 8 == 0 and n % 8 == 0 for offset, n in reads)
+    assert sorted(read_cells) == sorted(c for sp in splits for c in _box_cells(schema, sp.region))
+    # one read per run of a band's cells that lie next to each other in the
+    # file, so a band that spans every trailing extent is one read; a read
+    # past the cap is cut into whole rows
+    runs = 0
+    for band in bands:
+        cells = sorted(c for sp in band for c in _box_cells(schema, sp.region))
+        runs += 1 + sum(b != a + 1 for a, b in zip(cells, cells[1:]))
+    if run_bytes == storage._RUN_BYTES:
+        assert len(reads) == runs
+    else:
+        assert len(reads) >= runs
+        widest = max(band[-1].region.hi[-1] - band[0].region.lo[-1] + 1 for band in bands)
+        assert all(n <= max(run_bytes, widest * 8) for _, n in reads)
+
+
+def test_splits_of_other_rows_make_their_own_bands(array_factory):
+    # side by side along y, but b spans more rows than a, and c fewer than b
+    built = array_factory(extents=(4, 6), chunks=(4, 2), fill="ramp")
+    schema, path = built.schema, built.data_path
+    a, b, c = (
+        compute_splits(schema, BoundingBox(lo, hi), path)[0]
+        for lo, hi in (((0, 0), (1, 1)), ((0, 2), (3, 3)), ((2, 4), (3, 5)))
+    )
+    assert [len(band) for band in storage._bands([a, b, c])] == [1, 1, 1]
+    blocks = [block for block, _ in read_blocks([a, b, c])]
+    assert [block.tolist() for block in blocks] == [
+        built.values[0:2, 0:2].tolist(),
+        built.values[0:4, 2:4].tolist(),
+        built.values[2:4, 4:6].tolist(),
+    ]
+
+
+def test_band_reader_holds_one_band(tmp_path):
+    # 512 x 4096 float64 in 64 x 64 chunks: 64 splits of 32 KiB side by side
+    # in each row band, so every band is cut by the cap
+    schema = ArraySchema("A", "float64", "val", dims2(512, 4096, 64, 64))
+    path = tmp_path / "A.bin"
+    generate_array(schema, "uniform", path, seed=1)
+    splits = compute_splits(schema, schema.whole_box(), path)
+    block_bytes = 64 * 64 * 8
+    assert storage.BAND_BYTES >= 4 * block_bytes
+    tracemalloc.start()
+    try:
+        for _ in read_blocks(splits):  # fills the interpreter's caches
+            pass
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        n = 0
+        for block, keep in read_blocks(splits):
+            n += block.size
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert n == schema.cell_count
+    # the band, the block the loop holds and the next one, cut from the band
+    assert peak <= storage.BAND_BYTES + 2 * block_bytes + 16 * 1024, peak
+
+
+def test_band_reader_opens_and_checks_the_file_once(array_factory, monkeypatch):
+    built = array_factory(extents=(8, 12), chunks=(2, 3), fill="uniform")
+    splits = compute_splits(built.schema, built.schema.whole_box(), built.data_path)
+    checks = []
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: checks.append(fd) or real_fstat(fd))
+    blocks = [block for block, _ in read_blocks(splits)]
+    assert len(checks) == 1 and len(blocks) == len(splits) == 16
