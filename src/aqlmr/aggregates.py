@@ -18,10 +18,10 @@ The engine works on whole columns through four vector hooks: fold_groups
 group). The base class derives each from the scalar hooks with a loop, so an
 aggregator that defines only the scalar hooks runs in both modes. Only
 custom aggregators take that loop: the built-ins (builtin_aggregates.py)
-override the vector hooks with numpy. A built-in whose map summary is a sum,
-minimum or maximum of its values also declares that ``combine`` kind, which
-lets the optimized sliding map compute every window's summary with a
-kernel (grouping.Membership.fold) instead of fold_groups.
+override the vector hooks with numpy, derived from the ``combine`` kind a
+built-in declares (sum, count, minimum or maximum), which also lets the
+optimized sliding map compute every window's summary with a kernel
+(grouping.Membership.fold) instead of fold_groups.
 """
 
 from __future__ import annotations
@@ -138,10 +138,10 @@ class Aggregator:
     name: str = ""
     algebraic: bool = True
     uses_ext: bool = False
-    # built-ins only (builtin_aggregates._Columnar.window_values): "sum",
-    # "min" or "max" when a group's map summary is that combine of the
-    # group's window values with their count, "count" when it is the count
-    # alone; None keeps the map on fold_groups
+    # built-ins only (builtin_aggregates._Columnar): the summary's merge
+    # law, "sum", "min" or "max" of the lifted values with their count, or
+    # "count" alone; the scalar merge, the column merge and the window
+    # kernels all follow it. None: the aggregator merges by its own hooks
     combine: str | None = None
 
     def identity(self) -> AggSummary:

@@ -2,11 +2,13 @@
 and MEDIAN.
 
 Each has the scalar hooks of aggregates.Aggregator and numpy vector hooks,
-and the engine calls only the vector ones (and GEOMEAN's get_agg_result);
-the scalar loop of the base class serves custom aggregators alone. The
-algebraic ones fold a value in by merging a one-value summary, so one merge
-law per aggregator serves the map and the reduce, written once as a scalar
-update_in_reduce and once over columns. Sums accumulate in input order
+and the engine calls only the vector ones; the scalar loop of the base
+class serves custom aggregators alone. A built-in states its merge law
+once, as its ``combine`` kind (Gray et al.'s distributive sum, count, min
+or max), from which _Columnar derives the scalar merge, the column merge
+and the window kernels' neutral value; folding a value in merges a
+one-value summary of its lift (GEOMEAN's log). STDDEV's Chan merge and
+holistic MEDIAN keep their own hooks. Sums accumulate in input order
 (np.bincount, np.add.at), so float results equal a sequential fold; int64
 sums are exact, switching to Python ints where they could overflow. The
 optimized sliding map is the exception: it sums each window of a split with
@@ -45,27 +47,28 @@ def _check_value(value: float | int) -> None:
         raise AggregateDataError("NaN value in input")
 
 
-def _first(gids: np.ndarray, bad: np.ndarray) -> int:
-    """Of the rows ``bad`` lists, the one a group-by-group loop meets first:
-    the earliest in the lowest group."""
-    return int(bad[np.argmin(gids[bad])])
-
-
 def _reject_nan(gids: np.ndarray, values: np.ndarray) -> None:
-    """_check_value for a column: raise for the first NaN."""
+    """_check_value for a column: raise naming the lowest group with a NaN,
+    the one a group-by-group loop meets first."""
     if values.dtype.kind == "f":
-        bad = np.flatnonzero(np.isnan(values))
-        if len(bad):
-            raise _in_group(AggregateDataError("NaN value in input"), gids[_first(gids, bad)])
+        bad = np.isnan(values)
+        if bad.any():
+            raise _in_group(AggregateDataError("NaN value in input"), gids[bad].min())
+
+
+def _exact_int64(column: np.ndarray, n: int) -> bool:
+    """Whether int64 sums of up to ``n`` values of ``column`` are exact:
+    it is int64 and max |v| * n < 2**63."""
+    return column.dtype == np.int64 and max(-int(column.min()), int(column.max())) * n < 2**63
 
 
 def _sums(row: np.ndarray, size: int, column: np.ndarray) -> np.ndarray:
     """Per-group sums of a column in input order. Integer sums are exact: in
-    int64 while max |v| * len < 2**63, else in Python ints (an object
+    int64 where _exact_int64 allows, else in Python ints (an object
     column), which do not wrap."""
     if column.dtype == np.float64:
         return np.bincount(row, weights=column, minlength=size)
-    if column.dtype != np.int64 or max(-int(column.min()), int(column.max())) * len(column) >= 2**63:
+    if not _exact_int64(column, len(column)):
         column = column.astype(object)
     out = np.zeros(size, column.dtype)
     np.add.at(out, row, column)
@@ -73,31 +76,68 @@ def _sums(row: np.ndarray, size: int, column: np.ndarray) -> np.ndarray:
 
 
 class _Columnar(Aggregator):
-    """A built-in with numpy vector hooks. Folding a value in is merging a
-    one-value summary, in the scalar hooks as in the vector ones, so each
-    built-in states its merge law once per form."""
+    """A built-in whose scalar and vector hooks all follow its ``combine``
+    kind: folding a value in merges a one-value summary of its lift."""
 
     def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
         _check_value(value)
         return self.update_in_reduce(summary, AggSummary(value, 1, 0 if self.uses_ext else None))
 
-    def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
+    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
+        if self.combine == "sum":
+            summary.aggregate += other.aggregate
+        elif self.combine != "count" and other.count:
+            new, old = other.aggregate, summary.aggregate
+            if summary.count == 0 or (new < old if self.combine == "min" else new > old):
+                summary.aggregate = new
+        summary.count += other.count
+        return summary
+
+    def get_agg_result(self, summary: AggSummary) -> float | int | None:
+        if summary.count == 0:
+            return None
+        return summary.aggregate
+
+    def lift(self, gids: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The values the summaries combine, after the domain check: the
+        values themselves, none NaN."""
         _reject_nan(gids, values)
+        return values
+
+    def neutral(self, dtype: np.dtype) -> float | int:
+        """The value of ``dtype`` that no combine changes: 0 for sums, the
+        top of the range for a minimum, the bottom for a maximum."""
+        if self.combine in ("sum", "count"):
+            return 0
+        if dtype.kind == "f":
+            return math.inf if self.combine == "min" else -math.inf
+        info = np.iinfo(dtype)
+        return info.max if self.combine == "min" else info.min
+
+    def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
+        values = self.lift(gids, values)
         ext = np.zeros(len(values)) if self.uses_ext else None
         return self.merge_groups(Summaries(gids, values, np.ones(len(values)), ext))
 
-    def window_values(self, block: np.ndarray, keep: np.ndarray | None) -> np.ndarray | None:
-        """The block as a window kernel combines it: cells ``keep`` drops
-        hold a value that changes no window's summary. None when a kept value
-        is NaN, so that fold_groups raises its error."""
-        if keep is not None:
-            block = np.where(keep, block, self._fill(block.dtype))
-        if block.dtype.kind == "f" and np.isnan(block).any():
+    def window_values(self, block: np.ndarray, keep: np.ndarray | None, cells: int):
+        """The lifted block a window kernel combines over windows of up to
+        ``cells`` cells, where cells ``keep`` drops hold the neutral value.
+        None when the kernel would not give fold_groups' rows: a kept value
+        fails lift (fold_groups raises its error), or int64 window sums
+        could overflow."""
+        kept = block if keep is None else block[keep]
+        try:
+            lifted = self.lift(np.zeros(kept.size, np.int64), kept.ravel())
+        except AggregateError:
             return None
-        return block
-
-    def _fill(self, dtype: np.dtype) -> float | int:
-        return 0
+        if keep is None:
+            values = lifted.reshape(block.shape)
+        else:
+            values = np.full(block.shape, self.neutral(lifted.dtype), lifted.dtype)
+            values[keep] = lifted
+        if self.combine == "sum" and values.dtype != np.float64 and not _exact_int64(values, cells):
+            return None
+        return values
 
     def merge_groups(self, table: Summaries) -> Summaries:
         if not len(table):
@@ -110,7 +150,21 @@ class _Columnar(Aggregator):
         """The merged (aggregate, count, ext) columns of a table, indexed by
         slot (row i goes to slot row[i] < size). Slots no row reaches hold
         anything."""
-        raise NotImplementedError
+        counts = _sums(row, size, table.count)
+        if self.combine == "count":
+            return np.zeros(size, np.int64), counts, None
+        if self.combine == "sum":
+            return _sums(row, size, table.aggregate), counts, None
+        values, ufunc = table.aggregate, np.minimum if self.combine == "min" else np.maximum
+        # a float maximum is minus the minimum of the negated values, exactly,
+        # and np.minimum.at is the one ufunc.at the float path needs
+        flip = ufunc is np.maximum and values.dtype == np.float64
+        if flip:
+            values, ufunc = values * -1.0, np.minimum
+        out = np.zeros(size, values.dtype)
+        out[row] = values  # any member value starts the fold
+        ufunc.at(out, row, values)
+        return out * -1.0 if flip else out, counts, None
 
     def group_results(self, table: Summaries) -> list:
         return table.aggregate.tolist()
@@ -120,40 +174,21 @@ class Sum(_Columnar):
     name = "sum"
     combine = "sum"
 
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        summary.aggregate += other.aggregate
-        summary.count += other.count
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return summary.aggregate
-
-    def _merge(self, row, size, table):
-        return _sums(row, size, table.aggregate), _sums(row, size, table.count), None
-
 
 class Count(_Columnar):
     name = "count"
     combine = "count"
 
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        summary.count += other.count
-        return summary
-
     def get_agg_result(self, summary: AggSummary) -> float | int | None:
         return summary.count
-
-    def _merge(self, row, size, table):
-        return np.zeros(size, np.int64), _sums(row, size, table.count), None
 
     def group_results(self, table: Summaries) -> list:
         return _counts(table.count)
 
 
-class Avg(Sum):
+class Avg(_Columnar):
     name = "avg"
+    combine = "sum"
 
     def get_agg_result(self, summary: AggSummary) -> float | int | None:
         if summary.count == 0:
@@ -170,44 +205,11 @@ class Avg(Sum):
 class Min(_Columnar):
     name = "min"
     combine = "min"
-    _largest = False
-
-    def _fill(self, dtype):
-        if dtype.kind == "f":
-            return -math.inf if self._largest else math.inf
-        info = np.iinfo(dtype)
-        return info.min if self._largest else info.max
-
-    def update_in_reduce(self, summary: AggSummary, other: AggSummary) -> AggSummary:
-        if other.count:
-            new, old = other.aggregate, summary.aggregate
-            if summary.count == 0 or (new > old if self._largest else new < old):
-                summary.aggregate = new
-            summary.count += other.count
-        return summary
-
-    def get_agg_result(self, summary: AggSummary) -> float | int | None:
-        if summary.count == 0:
-            return None
-        return summary.aggregate
-
-    def _merge(self, row, size, table):
-        values = table.aggregate
-        # a float maximum is minus the minimum of the negated values, exactly,
-        # and np.minimum.at is the one ufunc.at the float path needs
-        flip = self._largest and values.dtype == np.float64
-        if flip:
-            values = values * -1.0
-        out = np.zeros(size, values.dtype)
-        out[row] = values  # any member value starts the fold
-        (np.maximum if self._largest and not flip else np.minimum).at(out, row, values)
-        return out * -1.0 if flip else out, _sums(row, size, table.count), None
 
 
-class Max(Min):
+class Max(_Columnar):
     name = "max"
     combine = "max"
-    _largest = True
 
 
 class StdDev(_Columnar):
@@ -258,11 +260,12 @@ class StdDev(_Columnar):
         return np.sqrt(table.ext / table.count).tolist()
 
 
-class GeoMean(Sum):
+class GeoMean(_Columnar):
     """Geometric mean via a running log sum; defined for positive values only.
     Summaries merge as sums do."""
 
     name = "geomean"
+    combine = "sum"
 
     def update_in_map(self, summary: AggSummary, value: float | int) -> AggSummary:
         _check_value(value)
@@ -277,7 +280,8 @@ class GeoMean(Sum):
             return None
         return math.exp(summary.aggregate / summary.count)
 
-    def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
+    def lift(self, gids: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The values' logs, after checking that each is positive."""
         bad = np.flatnonzero(~(values > 0))  # NaN fails the test too
         if len(bad):
             first = bad[0]  # the value a fold in input order meets first
@@ -285,21 +289,11 @@ class GeoMean(Sum):
                 self.update_in_map(self.identity(), values[first].item())
             except AggregateError as exc:
                 raise _in_group(exc, gids[first])
-        return super().fold_groups(gids, _logs(values))
+        # math.log, not np.log, whose last bit differs for some inputs
+        return np.fromiter(map(math.log, values.tolist()), np.float64, len(values))
 
-    def window_values(self, block, keep):
-        if keep is not None:
-            block = np.where(keep, block, 1)  # log 1 is the sum's 0
-        if not (block > 0).all():  # NaN fails the test too
-            return None
-        return _logs(block.ravel()).reshape(block.shape)
-
-    group_results = Aggregator.group_results
-
-
-def _logs(values: np.ndarray) -> np.ndarray:
-    # math.log, not np.log, whose last bit differs for some inputs
-    return np.fromiter(map(math.log, values.tolist()), np.float64, len(values))
+    def group_results(self, table: Summaries) -> list:
+        return [math.exp(s / n) for s, n in zip(table.aggregate.tolist(), _counts(table.count))]
 
 
 class Median(Aggregator):

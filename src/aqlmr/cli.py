@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -212,8 +213,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             continue
         if a is None or b is None:
             raise EngineError(f"group {gid}: modes disagree on emptiness")
-        tol = 1e-9 * max(abs(a), abs(b), 1.0)
-        if abs(a - b) > tol:
+        tol = 1e-9 * max(abs(a), abs(b), 1.0)  # an inf or nan tol would pass anything
+        if not (a == b or a != a and b != b or math.isfinite(tol) and abs(a - b) <= tol):
             raise EngineError(
                 f"group {gid}: naive {a!r} and optimized {b!r} diverge beyond 1e-9"
             )

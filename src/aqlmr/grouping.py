@@ -197,8 +197,8 @@ class _Windows(Membership):
     """Sliding-window membership, whose fold computes each window's partial
     over a region with separable kernels (module docstring) when the
     aggregator declares a combine kind. Rows and counts equal those of
-    fold_groups over the pairs; NaN, GEOMEAN's domain and int64 sums that
-    could overflow take that fold."""
+    fold_groups over the pairs; where the kernel would not give them (the
+    aggregator's window_values is None), the region takes that fold."""
 
     def __init__(self, box: BoundingBox, params: SlidingParams) -> None:
         super().__init__(box, self._pairs)
@@ -257,12 +257,8 @@ class _Windows(Membership):
             self._axis(*dim)
             for dim in zip(region.lo, region.hi, self._box.lo, self._prec, self._foll, self._counts)
         ]
-        values = None if None in axes else agg.window_values(block, keep)
-        if values is None or (
-            kind == "sum"
-            and values.dtype == np.int64
-            and max(-int(values.min()), int(values.max())) * self._cells >= 2**63
-        ):
+        values = None if None in axes else agg.window_values(block, keep, self._cells)
+        if values is None:
             return super().fold(region, block, keep, agg)
         gids = _ravel([centers for centers, _, _ in axes], self._counts)
         if keep is None:  # every window holds all its cells
@@ -274,12 +270,12 @@ class _Windows(Membership):
         counts = counts.ravel()
         if kind == "count":
             aggregate = np.zeros(len(gids), np.int64)
-        elif kind == "sum":
-            aggregate = _slide(values, axes, np.add, 0).ravel()
-        else:  # start from a value no window's extreme passes
-            start = values.max() if kind == "min" else values.min()
-            ufunc = np.minimum if kind == "min" else np.maximum
-            aggregate = _slide(values, axes, ufunc, start).ravel()
+        else:
+            ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[kind]
+            # sums past the double range give inf, and inf - inf nan, as
+            # Python floats do and without numpy's warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                aggregate = _slide(values, axes, ufunc, agg.neutral(values.dtype)).ravel()
         if keep is not None:
             seen = np.flatnonzero(counts)
             gids, aggregate, counts = gids[seen], aggregate[seen], counts[seen]
@@ -289,7 +285,7 @@ class _Windows(Membership):
 def _slide(values: np.ndarray, axes, ufunc, start) -> np.ndarray:
     """``ufunc`` over each window's cells, one dimension after another:
     every (window slice, cell slice) of a dimension combines a shifted slab
-    of ``values`` into the windows, in place."""
+    of ``values`` into the windows, in place, from ``start``."""
     for axis, (centers, _, shifts) in enumerate(axes):
         shape = list(values.shape)
         shape[axis] = len(centers)

@@ -1,9 +1,12 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from aqlmr.cli import main
 from aqlmr.planner import emit_param_config, load_param_config
+from conftest import build_array
 from test_engine import record_reads, stale_file_size
 
 
@@ -412,6 +415,24 @@ class TestBench:
         )
         assert rc == 3
         assert "holistic" in capsys.readouterr().err
+
+    def test_non_finite_divergence_is_exit_4(self, tmp_path, capsys):
+        """The naive pairs add 1e308 + 1e308 to inf, then -inf to nan; the
+        optimized kernel adds each column first and reads -inf. bench must
+        not let a nan or an infinity pass as close."""
+        values = np.array([[1e308, 1e308], [-math.inf, 1.0]])
+        build_array(tmp_path, extents=(2, 2), chunks=(2, 2), values=values)
+        query = (
+            "select sum(val) from A fixed window as (partition by"
+            " x 0 preceding and 1 following, y 0 preceding and 1 following)"
+        )
+        assert main(["bench", query, "--data-dir", str(tmp_path)]) == 4
+        assert "diverge" in capsys.readouterr().err
+
+    def test_equal_infinities_agree(self, tmp_path):
+        build_array(tmp_path, extents=(3,), chunks=(3,), values=np.array([math.inf, 1.0, 2.0]))
+        query = "select sum(val) from A fixed window as (partition by x 1 preceding and 1 following)"
+        assert main(["bench", query, "--data-dir", str(tmp_path)]) == 0
 
 
 # past a double's range (and int()'s 4300-digit limit)

@@ -428,7 +428,10 @@ def window_folds(draw):
 
 def window_values(case, rng) -> np.ndarray:
     shape, agg = case["box"].shape, case["agg"]
-    if case["ints"] and case["guard"] is None:
+    if case["guard"] == "bounds":  # int64's least and greatest values only
+        info = np.iinfo(np.int64)
+        values = rng.choice(np.array([info.min, info.max]), shape)
+    elif case["ints"] and case["guard"] is None:
         values = rng.integers(1 if agg == "geomean" else -1000, 1000, shape, endpoint=True)
     elif case["ints"]:
         # one sign and within 1 of max |v|, so full windows sum to about
@@ -470,6 +473,21 @@ class PairFoldSpy:
         return self.agg.fold_groups(gids, values)
 
 
+# MIN and MAX windows under a mask, every kept cell at one end of int64's
+# range: neither the masked cells' fill nor the kernel's start may show
+EXTREMES = {
+    "box": BoundingBox((0, -2), (6, 5)),
+    "params": SlidingParams((2, 1), (1, 2), 2),
+    "starts": [0, -3],
+    "chunks": [3, 5],
+    "ints": True,
+    "guard": "bounds",
+    "density": 0.6,
+    "bad": False,
+    "seed": 3,
+}
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=window_folds())
 @example(  # full 3x3 windows whose int64 sums pass 2**63
@@ -486,6 +504,8 @@ class PairFoldSpy:
         "seed": 0,
     }
 )
+@example(case={**EXTREMES, "agg": "min"})
+@example(case={**EXTREMES, "agg": "max"})
 def test_window_kernel_matches_pair_fold(case):
     """On every split, the sliding membership's fold gives the rows and
     counts the pair fold gives, and the same error for a NaN or
@@ -555,3 +575,15 @@ def test_window_kernel_keeps_a_huge_cell_local(case, huge):
             for gid, a, b in zip(got.gid.tolist(), got.aggregate, base.aggregate):
                 if not group_extent(gid, geom).contains(cell):
                     assert a.tobytes() == b.tobytes(), f"{name} {case} group {gid}: {a!r} != {b!r}"
+
+
+def test_window_kernel_overflows_as_the_pair_fold_does(tmp_path):
+    """Float window sums past the double range give the pair fold's inf and
+    nan without a numpy RuntimeWarning, which the suite makes an error."""
+    values = np.array([1e308, 1e308, -math.inf, 1.0, 2.0, 3.0])
+    catalog = build_array(tmp_path, extents=(6,), chunks=(6,), values=values).catalog
+    text = "select sum(val) from A fixed window as (partition by x 1 preceding and 1 following)"
+    naive, optimized = (
+        run_job(plan(analyze(parse(text), catalog), mode)).values for mode in ("naive", "optimized")
+    )
+    assert repr(naive) == repr(optimized) == "[inf, nan, -inf, -inf, 6.0, 5.0]"
