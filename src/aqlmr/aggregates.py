@@ -21,7 +21,8 @@ custom aggregators take that loop: the built-ins (builtin_aggregates.py)
 override the vector hooks with numpy, derived from the ``combine`` kind a
 built-in declares (sum, count, minimum or maximum), which also lets the
 optimized sliding map compute every window's summary with a kernel
-(grouping.Membership.fold) instead of fold_groups.
+(window_aggregate, called by grouping's sliding fold) instead of
+fold_groups.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ class Aggregator:
     uses_ext: bool = False
     # built-ins only (builtin_aggregates._Columnar): the summary's merge
     # law, "sum", "min" or "max" of the lifted values with their count, or
-    # "count" alone; the scalar merge, the column merge and the window
-    # kernels all follow it. None: the aggregator merges by its own hooks
+    # "count" alone; the scalar merge, the column merge and window_aggregate,
+    # which the optimized sliding map calls, all follow it. None: the
+    # aggregator merges by its own hooks, and sliding windows fold pairs
     combine: str | None = None
 
     def identity(self) -> AggSummary:

@@ -5,18 +5,18 @@ Each has the scalar hooks of aggregates.Aggregator and numpy vector hooks,
 and the engine calls only the vector ones; the scalar loop of the base
 class serves custom aggregators alone. A built-in states its merge law
 once, as its ``combine`` kind (Gray et al.'s distributive sum, count, min
-or max), from which _Columnar derives the scalar merge, the column merge
-and the window kernels' neutral value; folding a value in merges a
-one-value summary of its lift (GEOMEAN's log). STDDEV's Chan merge and
-holistic MEDIAN keep their own hooks. Sums accumulate in input order
-(np.bincount, np.add.at), so float results equal a sequential fold; int64
-sums are exact, switching to Python ints where they could overflow. The
-optimized sliding map is the exception: it sums each window of a split with
-shifted adds (grouping.Membership.fold), in another order, so float window
-sums can differ from a sequential fold in their last bits. The code
-sticks to a few numpy kernels (bincount, ufunc.at, stable argsort, cumsum,
-repeat and indexing): each new kernel maps more of numpy's code into every
-process that runs a query.
+or max), from which _Columnar derives the scalar merge and, through one
+kind-to-ufunc table, both the column merge and the window kernel
+(window_aggregate); folding a value in merges a one-value summary of its
+lift (GEOMEAN's log). STDDEV's Chan merge and holistic MEDIAN keep their
+own hooks. Sums accumulate in input order (np.bincount, np.add.at), so
+float results equal a sequential fold; int64 sums are exact, switching to
+Python ints where they could overflow. The optimized sliding map is the
+exception: window_aggregate sums each window of a split with shifted adds,
+in another order, so float window sums can differ from a sequential fold in
+their last bits. The code sticks to a few numpy kernels (bincount,
+ufunc.at, stable argsort, cumsum, repeat and indexing): each new kernel
+maps more of numpy's code into every process that runs a query.
 """
 
 from __future__ import annotations
@@ -75,6 +75,10 @@ def _sums(row: np.ndarray, size: int, column: np.ndarray) -> np.ndarray:
     return out
 
 
+# the ufunc that combines two summaries' aggregates, by combine kind
+_UFUNCS = {"sum": np.add, "count": np.add, "min": np.minimum, "max": np.maximum}
+
+
 class _Columnar(Aggregator):
     """A built-in whose scalar and vector hooks all follow its ``combine``
     kind: folding a value in merges a one-value summary of its lift."""
@@ -104,40 +108,44 @@ class _Columnar(Aggregator):
         _reject_nan(gids, values)
         return values
 
-    def neutral(self, dtype: np.dtype) -> float | int:
-        """The value of ``dtype`` that no combine changes: 0 for sums, the
-        top of the range for a minimum, the bottom for a maximum."""
-        if self.combine in ("sum", "count"):
-            return 0
-        if dtype.kind == "f":
-            return math.inf if self.combine == "min" else -math.inf
-        info = np.iinfo(dtype)
-        return info.max if self.combine == "min" else info.min
-
     def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
         values = self.lift(gids, values)
         ext = np.zeros(len(values)) if self.uses_ext else None
         return self.merge_groups(Summaries(gids, values, np.ones(len(values)), ext))
 
-    def window_values(self, block: np.ndarray, keep: np.ndarray | None, cells: int):
-        """The lifted block a window kernel combines over windows of up to
-        ``cells`` cells, where cells ``keep`` drops hold the neutral value.
-        None when the kernel would not give fold_groups' rows: a kept value
-        fails lift (fold_groups raises its error), or int64 window sums
-        could overflow."""
+    def window_aggregate(self, block: np.ndarray, keep: np.ndarray | None, cells: int, slide):
+        """Each window's aggregate column, as fold_groups gives it, from
+        ``slide(values, ufunc, start)``, which combines ``values`` (of the
+        block's shape) into windows of up to ``cells`` cells. The lifted
+        block fills the cells ``keep`` keeps, the start value those it
+        drops; COUNT slides zeros. None when the kernel would not give
+        fold_groups' rows: a kept value fails lift (fold_groups raises its
+        error), or int64 window sums could overflow."""
         kept = block if keep is None else block[keep]
         try:
             lifted = self.lift(np.zeros(kept.size, np.int64), kept.ravel())
         except AggregateError:
             return None
+        if self.combine == "count":
+            lifted = np.zeros(lifted.size, np.int64)
+        if self.combine in ("sum", "count"):
+            start = 0
+        elif lifted.dtype.kind == "f":
+            start = math.inf if self.combine == "min" else -math.inf
+        else:  # the top of the range for a minimum, the bottom for a maximum
+            info = np.iinfo(lifted.dtype)
+            start = info.max if self.combine == "min" else info.min
         if keep is None:
             values = lifted.reshape(block.shape)
         else:
-            values = np.full(block.shape, self.neutral(lifted.dtype), lifted.dtype)
+            values = np.full(block.shape, start, lifted.dtype)
             values[keep] = lifted
         if self.combine == "sum" and values.dtype != np.float64 and not _exact_int64(values, cells):
             return None
-        return values
+        # sums past the double range give inf, and inf - inf nan, as Python
+        # floats do and without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return slide(values, _UFUNCS[self.combine], start).ravel()
 
     def merge_groups(self, table: Summaries) -> Summaries:
         if not len(table):
@@ -155,7 +163,7 @@ class _Columnar(Aggregator):
             return np.zeros(size, np.int64), counts, None
         if self.combine == "sum":
             return _sums(row, size, table.aggregate), counts, None
-        values, ufunc = table.aggregate, np.minimum if self.combine == "min" else np.maximum
+        values, ufunc = table.aggregate, _UFUNCS[self.combine]
         # a float maximum is minus the minimum of the negated values, exactly,
         # and np.minimum.at is the one ufunc.at the float path needs
         flip = ufunc is np.maximum and values.dtype == np.float64

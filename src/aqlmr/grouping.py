@@ -24,18 +24,19 @@ broadcast over the region: no per-cell Python work. One cell (groups_of) is
 the one-cell region.
 
 The optimized map folds a region through Membership.fold, which by default
-folds those (cell, group) pairs. Sliding windows override it for the
-built-ins that declare a combine kind: every window's partial over the
-region comes from separable kernels, one shifted in-place add, minimum or
-maximum per window offset and dimension, so the work per cell grows with the
-window's width and not with its area. Nothing is subtracted, so a huge or
-infinite cell reaches only the windows that hold it.
+folds those (cell, group) pairs. Sliding windows derive, once per region, a
+table of the windows that reach it; the pairs come from it, and for the
+built-ins that declare a combine kind so does the fold: the aggregator's
+window_aggregate combines each window's cells with _slide, one shifted
+in-place ufunc call per window offset and dimension, so the work per cell
+grows with the window's width and not with its area. Nothing is subtracted,
+so a huge or infinite cell reaches only the windows that hold it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 from math import isqrt, prod
 from typing import TYPE_CHECKING
@@ -194,11 +195,11 @@ class Membership:
 
 
 class _Windows(Membership):
-    """Sliding-window membership, whose fold computes each window's partial
-    over a region with separable kernels (module docstring) when the
-    aggregator declares a combine kind. Rows and counts equal those of
-    fold_groups over the pairs; where the kernel would not give them (the
-    aggregator's window_values is None), the region takes that fold."""
+    """Sliding-window membership. The pairs and the fold both read the
+    region's window table (_axes); the fold takes each window's aggregate
+    from the aggregator and adds the geometry, group ids and counts. Rows
+    and counts equal those of fold_groups over the pairs, which the region
+    takes where the aggregator gives no aggregate."""
 
     def __init__(self, box: BoundingBox, params: SlidingParams) -> None:
         super().__init__(box, self._pairs)
@@ -209,20 +210,41 @@ class _Windows(Membership):
         # the most cells a window holds
         self._cells = prod(p + f + 1 for p, f in zip(self._prec, self._foll))
 
-    def _pairs(self, region: BoundingBox, keep):
-        # per dimension, (position, center index) pairs of the covering
-        # windows; every combination across dimensions is one membership
-        stride = self._stride
-        cell_axes, center_axes = [], []
-        for rl, rh, l, p, f, n in zip(
+    def _axes(self, region: BoundingBox):
+        """Per dimension, the lattice indices of the windows that reach the
+        region, each window's first cell (an index into the region) and cell
+        count, and one (window slice, cell slice) per window offset that
+        lands in the region. None when the region falls between windows."""
+        s = self._stride
+        axes = []
+        for lo, hi, l, p, f, n in zip(
             region.lo, region.hi, self._box.lo, self._prec, self._foll, self._counts
         ):
-            a, b = rl - l, rh - l
-            kmin = np.maximum(_floor_div(a - f + stride - 1, b - f + stride - 1, stride), 0)
-            kmax = np.minimum(_floor_div(a + p, b + p, stride), n - 1)
-            pos, k = _expand(np.arange(b - a + 1), kmin, np.maximum(kmax - kmin + 1, 0))
-            cell_axes.append(pos)
-            center_axes.append(k)
+            a, b = lo - l, hi - l
+            kmin, kmax = max(-((f - a) // s), 0), min((b + p) // s, n - 1)
+            if kmax < kmin:
+                return None
+            centers = np.arange(kmin, kmax + 1)
+            c = centers * s - a  # each window's center, as an index into the region
+            first = np.maximum(c - p, 0)
+            count = np.minimum(c + f, b - a) - first + 1
+            m, o = kmax - kmin + 1, kmin * s - p - a  # o: offset -p of window kmin
+            shifts = []
+            for j in range(o, o + p + f + 1):  # cell index of window i is i*s + j
+                i0, i1 = max(-(j // s), 0), min((b - a - j) // s, m - 1)
+                if i0 <= i1:
+                    shifts.append((slice(i0, i1 + 1), slice(i0 * s + j, i1 * s + j + 1, s)))
+            axes.append((centers, first, count, shifts))
+        return axes
+
+    def _pairs(self, region: BoundingBox, keep):
+        # per dimension, (center index, position) pairs window by window;
+        # every combination across dimensions is one membership
+        axes = self._axes(region)
+        if axes is None:
+            none = np.zeros(0, np.int64)
+            return none, none
+        center_axes, cell_axes = zip(*(_expand(k, first, n) for k, first, n, _ in axes))
         cells = _ravel(cell_axes, region.shape)
         gids = _ravel(center_axes, self._counts)
         if keep is not None:
@@ -230,63 +252,26 @@ class _Windows(Membership):
             cells, gids = cells[kept], gids[kept]
         return cells, gids
 
-    def _axis(self, lo: int, hi: int, l: int, p: int, f: int, n: int):
-        """For one dimension of a region, the lattice indices of the windows
-        that reach its cells lo..hi, each window's cell count, and one
-        (window slice, cell slice) per window offset -p..f that lands in the
-        region."""
-        s = self._stride
-        a, b = lo - l, hi - l
-        kmin, kmax = max(-((f - a) // s), 0), min((b + p) // s, n - 1)
-        if kmax < kmin:  # the region falls between windows
-            return None
-        m, o = kmax - kmin + 1, kmin * s - p - a  # o: offset -p of window kmin
-        shifts = []
-        for j in range(o, o + p + f + 1):  # cell index of window i is i*s + j
-            i0, i1 = max(-(j // s), 0), min((b - a - j) // s, m - 1)
-            if i0 <= i1:
-                shifts.append((slice(i0, i1 + 1), slice(i0 * s + j, i1 * s + j + 1, s)))
-        counts = [min(c + f, b) - max(c - p, a) + 1 for c in range(kmin * s, kmax * s + 1, s)]
-        return np.arange(kmin, kmax + 1), np.array(counts, np.float64), shifts
-
     def fold(self, region, block, keep, agg):
-        kind = agg.combine
-        if kind is None:
+        axes = None if agg.combine is None else self._axes(region)
+        slide = partial(_slide, axes=axes)
+        aggregate = None if axes is None else agg.window_aggregate(block, keep, self._cells, slide)
+        if aggregate is None:
             return super().fold(region, block, keep, agg)
-        axes = [
-            self._axis(*dim)
-            for dim in zip(region.lo, region.hi, self._box.lo, self._prec, self._foll, self._counts)
-        ]
-        values = None if None in axes else agg.window_values(block, keep, self._cells)
-        if values is None:
-            return super().fold(region, block, keep, agg)
-        gids = _ravel([centers for centers, _, _ in axes], self._counts)
+        gids = _ravel([centers for centers, *_ in axes], self._counts)
         if keep is None:  # every window holds all its cells
-            counts = np.ones(())
-            for n in np.ix_(*(n for _, n, _ in axes)):
-                counts = counts * n
-        else:
-            counts = _slide(np.where(keep, 1.0, 0.0), axes, np.add, 0.0)
-        counts = counts.ravel()
-        if kind == "count":
-            aggregate = np.zeros(len(gids), np.int64)
-        else:
-            ufunc = {"sum": np.add, "min": np.minimum, "max": np.maximum}[kind]
-            # sums past the double range give inf, and inf - inf nan, as
-            # Python floats do and without numpy's warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                aggregate = _slide(values, axes, ufunc, agg.neutral(values.dtype)).ravel()
-        if keep is not None:
-            seen = np.flatnonzero(counts)
-            gids, aggregate, counts = gids[seen], aggregate[seen], counts[seen]
-        return Summaries(gids, aggregate, counts)
+            counts = reduce(np.multiply, np.ix_(*(count for _, _, count, _ in axes)), np.ones(()))
+            return Summaries(gids, aggregate, counts.ravel())
+        counts = slide(np.where(keep, 1.0, 0.0), np.add, 0.0).ravel()
+        seen = np.flatnonzero(counts)
+        return Summaries(gids[seen], aggregate[seen], counts[seen])
 
 
-def _slide(values: np.ndarray, axes, ufunc, start) -> np.ndarray:
+def _slide(values: np.ndarray, ufunc, start, axes) -> np.ndarray:
     """``ufunc`` over each window's cells, one dimension after another:
     every (window slice, cell slice) of a dimension combines a shifted slab
     of ``values`` into the windows, in place, from ``start``."""
-    for axis, (centers, _, shifts) in enumerate(axes):
+    for axis, (centers, _, _, shifts) in enumerate(axes):
         shape = list(values.shape)
         shape[axis] = len(centers)
         out = np.full(shape, start, values.dtype)
@@ -319,11 +304,11 @@ def _kept(region: BoundingBox, keep: np.ndarray | None) -> np.ndarray:
     return np.arange(region.cell_count) if keep is None else np.flatnonzero(keep)
 
 
-def _expand(cells: np.ndarray, first: np.ndarray, counts: np.ndarray):
-    """Each cell ``counts`` times, with ids first, first + 1, ..."""
+def _expand(items: np.ndarray, first: np.ndarray, counts: np.ndarray):
+    """Each item ``counts`` times, beside the ids first, first + 1, ..."""
     total = int(counts.sum())
     starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(cells, counts), np.repeat(first, counts) + np.arange(total) - starts
+    return np.repeat(items, counts), np.repeat(first, counts) + np.arange(total) - starts
 
 
 def _distances(a: int, b: int) -> np.ndarray:
