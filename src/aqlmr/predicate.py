@@ -1,7 +1,14 @@
-"""Value predicates: conjunctions of comparisons against numeric constants."""
+"""Value predicates: conjunctions of comparisons against numeric constants.
+
+A comparison is exact in the cells' type. numpy would round an int64 cell
+and a float constant, or a float64 cell and an int constant float64 cannot
+hold, to float64 first, so such a constant is first restated as a bound of
+the cells' own type that keeps the same cells.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +21,34 @@ _ARRAY_OPS = {
     "=": np.equal,
     "<>": np.not_equal,
 }
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _in_type(op: str, constant: int | float, dtype: np.dtype) -> tuple[str, int | float] | bool:
+    """``cell op constant`` for every cell of ``dtype``, as an (op, bound)
+    that numpy compares exactly in that type, or as the one answer every
+    cell gets."""
+    if dtype.kind == "i":
+        if isinstance(constant, float):
+            if op in ("=", "<>") and not constant.is_integer():
+                return op == "<>"
+            # an integer is > c or <= c as it is for floor(c), and < c or
+            # >= c as it is for ceil(c)
+            constant = (math.floor if op in (">", "<=") else math.ceil)(constant)
+        if not _INT64.min <= constant <= _INT64.max:  # above or below every cell
+            return op in (("<", "<=", "<>") if constant > 0 else (">", ">=", "<>"))
+        return op, constant
+    if isinstance(constant, int) and float(constant) != constant:
+        if op in ("=", "<>"):
+            return op == "<>"
+        # no float lies strictly between the floats below and above it
+        near = float(constant)
+        below = near if near < constant else math.nextafter(near, -math.inf)
+        above = near if near > constant else math.nextafter(near, math.inf)
+        return (">", below) if op in (">", ">=") else ("<", above)
+    return op, float(constant)
 
 
 @dataclass(frozen=True)
@@ -41,9 +76,17 @@ class ValuePredicate:
             raise ValueError("a value predicate needs at least one comparison")
 
     def mask(self, values: np.ndarray) -> np.ndarray:
-        out = _ARRAY_OPS[self.conjuncts[0].op](values, self.conjuncts[0].constant)
-        for c in self.conjuncts[1:]:
-            out &= _ARRAY_OPS[c.op](values, c.constant)
+        out = None
+        for c in self.conjuncts:
+            test = _in_type(c.op, c.constant, values.dtype)
+            if isinstance(test, bool):
+                kept = np.full(values.shape, test)
+            else:
+                kept = _ARRAY_OPS[test[0]](values, test[1])
+            if out is None:
+                out = kept
+            else:
+                out &= kept
         return out
 
     def render(self) -> str:

@@ -6,6 +6,7 @@ package's grouping, aggregation, or engine code, so these values can stand
 as the expected side of equivalence checks.
 """
 
+import operator
 from itertools import product
 from math import ceil
 
@@ -18,6 +19,14 @@ _OPS = {
     ">=": np.greater_equal,
     "=": np.equal,
     "<>": np.not_equal,
+}
+_PY_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "=": operator.eq,
+    "<>": operator.ne,
 }
 
 
@@ -49,10 +58,23 @@ def aggregate_direct(name: str, vals: np.ndarray):
 
 
 def apply_predicate(vals: np.ndarray, conjuncts) -> np.ndarray:
-    """conjuncts: iterable of (op string, constant)."""
+    """conjuncts: iterable of (op string, constant). numpy compares a
+    constant of the cells' own type (an int within int64 for int cells)
+    exactly; any other constant it would round to float64 together with the
+    cells, so those are compared by Python, whose int/float comparisons are
+    exact."""
     keep = np.ones(vals.shape, dtype=bool)
     for op, const in conjuncts:
-        keep &= _OPS[op](vals, const)
+        if isinstance(const, float):
+            same = vals.dtype.kind == "f"
+        else:
+            same = vals.dtype.kind == "i" and -(2**63) <= const < 2**63
+        if same:
+            keep &= _OPS[op](vals, const)
+        else:
+            keep &= np.array([_PY_OPS[op](v, const) for v in vals.ravel().tolist()], bool).reshape(
+                vals.shape
+            )
     return vals[keep]
 
 

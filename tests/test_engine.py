@@ -2,6 +2,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqlmr import (
     EngineError,
@@ -10,6 +12,7 @@ from aqlmr import (
     plan,
     run_job,
 )
+from aqlmr.predicate import Comparison, ValuePredicate
 from aqlmr.engine import (
     KEY_BYTES,
     RAW_VALUE_BYTES,
@@ -19,6 +22,7 @@ from aqlmr.engine import (
 )
 from aqlmr.storage import _bands, compute_splits
 from oracles import (
+    apply_predicate,
     assert_close,
     expected_results,
     group_value_lists,
@@ -322,6 +326,67 @@ class TestPredicates:
         )
         for gid, (got, want) in enumerate(zip(result.values, expected)):
             assert_close(got, want, context=f"group {gid}")
+
+
+# a constant of the other type than the cells, which float64 rounding would
+# compare wrongly: (values, element type, where, the right count)
+MIXED_TYPE_WHERES = [
+    ([2**53, 2**53 + 1, 2**62, -5], "int64", "val > 9007199254740992.0", 2),
+    ([2.0**53, 1.0], "float64", "val < 9007199254740993", 2),
+    ([2.0**53, 1.0], "float64", "val <> 9007199254740993", 2),
+]
+
+
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+@pytest.mark.parametrize("values, element_type, where, count", MIXED_TYPE_WHERES)
+def test_where_compares_exactly_in_the_cells_type(
+    array_factory, mode, values, element_type, where, count
+):
+    values = np.array(values, dtype=element_type)
+    built = array_factory(extents=(len(values),), chunks=(2,), element_type=element_type, values=values)
+    text = f"select count(val) from A where {where} grid as (partition by x 4)"
+    result = run_query(built, text, mode)
+    (cmp,) = parse(text).where
+    groups = group_value_lists(
+        built.values, (0,), (len(values) - 1,), "grid", partitions=(4,),
+        predicate=[(cmp.op, cmp.constant)],
+    )
+    assert result.values == expected_results("count", groups) == [count]
+
+
+def _near(bases):
+    """Integers within 3 of plus or minus one of ``bases``."""
+    return st.builds(
+        lambda base, sign, d: sign * base + d,
+        st.sampled_from(bases), st.sampled_from([-1, 1]), st.integers(-3, 3),
+    )
+
+
+_EDGES = [0, 2**52, 2**53, 2**62, 2**63]
+_INT64_CELLS = _near(_EDGES).map(lambda v: min(max(v, -(2**63)), 2**63 - 1))
+_FLOAT_CELLS = st.one_of(_near(_EDGES).map(float), st.sampled_from([0.5, -2.5, 2.0**52 + 0.5]))
+_CONSTANTS = st.one_of(
+    _near(_EDGES),
+    st.builds(lambda v, frac: float(v) + frac, _near(_EDGES), st.sampled_from([0.0, 0.5, -0.25])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.one_of(
+        st.lists(_INT64_CELLS, min_size=1, max_size=8).map(lambda v: np.array(v, np.int64)),
+        st.lists(_FLOAT_CELLS, min_size=1, max_size=8).map(lambda v: np.array(v, np.float64)),
+    ),
+    conjuncts=st.lists(
+        st.tuples(st.sampled_from(["<", "<=", ">", ">=", "=", "<>"]), _CONSTANTS),
+        min_size=1, max_size=2,
+    ),
+)
+def test_where_mask_is_exact_near_the_float_and_int64_edges(cells, conjuncts):
+    """Cells and constants of either type near 2**53 and 2**63: the mask
+    keeps the cells the oracle's exact comparison keeps."""
+    predicate = ValuePredicate(tuple(Comparison("val", op, c) for op, c in conjuncts))
+    assert cells[predicate.mask(cells)].tolist() == apply_predicate(cells, conjuncts).tolist()
 
 
 class TestDeterminism:
