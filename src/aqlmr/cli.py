@@ -71,19 +71,26 @@ def _parse_sizes(text: str, what: str) -> list[int]:
     return sizes
 
 
-def _check_workers(text: str) -> None:
-    """Check a --workers count: an integer as query text writes one, at least
-    1. The engine is serial, so the count selects nothing; it is still
-    checked so that existing scripts keep working and typos keep failing."""
+def _integer_at_least(text: str, what: str, least: int) -> int:
+    """An integer as query text writes one, at least ``least``."""
     try:
-        count = parse_int(text)
+        value = parse_int(text)
     except ParseError:
-        count = 0
-    if count < 1:
-        raise StoreError(f"bad --workers count {text!r} (want an integer >= 1)")
+        value = least - 1
+    if value < least:
+        raise StoreError(f"bad {what} {text!r} (want an integer >= {least})")
+    return value
+
+
+def _check_workers(text: str) -> None:
+    """Check a --workers count, at least 1. The engine is serial, so the
+    count selects nothing; it is still checked so that existing scripts
+    keep working and typos keep failing."""
+    _integer_at_least(text, "--workers count", 1)
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    seed = _integer_at_least(args.seed, "--seed", 0)
     extents = _parse_sizes(args.dims, "--dims")
     chunks = _parse_sizes(args.chunk, "--chunk")
     if len(chunks) != len(extents):
@@ -97,7 +104,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / f"{schema.name}.bin"
-    generate_array(schema, args.fill, data_path, seed=args.seed)
+    generate_array(schema, args.fill, data_path, seed=seed)
     meta_path = save_schema(schema, meta_path_for(out_dir, schema.name))
     print(f"wrote {data_path} ({schema.nbytes} bytes) and {meta_path}")
     return 0
@@ -255,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribute", default="val")
     p.add_argument("--dim-names", default=None, help="comma-separated, e.g. x,y")
     p.add_argument("--fill", default="ramp", help="ramp, uniform, or constant:<c>")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_gen_data)
 

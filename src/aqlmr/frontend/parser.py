@@ -216,17 +216,24 @@ def parse(text: str) -> QueryAst:
     return _parser(text).query()
 
 
+def _whole(text: str, rule):
+    """Read ``text`` with one grammar rule, and nothing else."""
+    parser = _parser(text)
+    value = rule(parser)
+    parser.expect("eof")
+    return value
+
+
 def parse_comparison(text: str) -> Comparison:
     """Read one ``where`` condition, ``ident op number``, and nothing else."""
-    parser = _parser(text)
-    cmp = parser.comparison()
-    parser.expect("eof")
-    return cmp
+    return _whole(text, _Parser.comparison)
 
 
 def parse_int(text: str) -> int:
     """Read one integer as query text writes it, and nothing else."""
-    parser = _parser(text)
-    value = parser.expect_int()
-    parser.expect("eof")
-    return value
+    return _whole(text, _Parser.expect_int)
+
+
+def parse_number(text: str) -> int | float:
+    """Read one number as query text writes it, and nothing else."""
+    return _whole(text, _Parser.expect_number)

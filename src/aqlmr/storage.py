@@ -292,12 +292,7 @@ def generate_array(
             else:
                 values = rng.integers(0, 1000, n)
         elif fill == "constant" or fill.startswith("constant:"):
-            _, _, text = fill.partition(":")
-            try:
-                c = float(text) if text else 0.0
-            except ValueError:
-                raise StoreError(f"bad constant fill {fill!r}")
-            values = np.full(n, c, dtype)
+            values = np.full(n, _fill_constant(fill, schema.element_type), dtype)
         else:
             raise StoreError(f"unknown fill {fill!r} (expected ramp, uniform, or constant:<c>)")
         values = values.astype(dtype, copy=False)
@@ -306,6 +301,23 @@ def generate_array(
     out_path = Path(out_path)
     values.tofile(out_path)
     return out_path
+
+
+def _fill_constant(fill: str, element_type: str) -> int | float:
+    """The C of a "constant:C" fill (0 when absent), a number as query text
+    writes one; an int64 array takes only a whole number within int64."""
+    from .frontend.parser import ParseError, parse_number  # the frontend imports this module
+
+    _, _, text = fill.partition(":")
+    try:
+        c = parse_number(text) if text else 0
+    except ParseError:
+        raise StoreError(f"bad constant fill {fill!r}") from None
+    if element_type == "float64":
+        return float(c)
+    if c != int(c) or not -(2**63) <= c < 2**63:
+        raise StoreError(f"bad constant fill {fill!r} (int64 cells need an integer within int64)")
+    return int(c)
 
 
 def write_array(schema: ArraySchema, values: np.ndarray, out_path: Path | str) -> Path:

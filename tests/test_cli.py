@@ -126,6 +126,50 @@ class TestGenData:
         assert not (tmp_path / "H.bin").exists()
         assert not (tmp_path / "H.meta.json").exists()
 
+    @pytest.mark.parametrize(
+        "fill",
+        ["constant:1e20", "constant:nan", "constant:1e400", "constant:-9223372036854775809",
+         "constant:9223372036854775808", "constant:1.5", "constant:+5", "constant:1_0"],
+    )
+    def test_int64_constant_must_be_an_int64(self, tmp_path, capsys, fill):
+        rc = main(
+            ["gen-data", "--name", "K", "--dims", "4", "--chunk", "2", "--element-type", "int64",
+             "--fill", fill, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 4
+        assert "bad constant fill" in capsys.readouterr().err
+        assert not (tmp_path / "K.bin").exists()
+        assert not (tmp_path / "K.meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "element_type, fill, value",
+        [
+            ("int64", "constant:-9223372036854775808", -(2**63)),
+            ("int64", "constant:9007199254740993", 2**53 + 1),
+            ("int64", "constant:1e3", 1000),
+            ("float64", "constant:-2.5", -2.5),
+            ("float64", "constant:9007199254740993", 2.0**53),
+        ],
+    )
+    def test_constant_is_a_query_number(self, tmp_path, element_type, fill, value):
+        rc = main(
+            ["gen-data", "--name", "K", "--dims", "4", "--chunk", "2", "--element-type",
+             element_type, "--fill", fill, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 0
+        assert np.fromfile(tmp_path / "K.bin", element_type).tolist() == [value] * 4
+
+    @pytest.mark.parametrize("seed", ["-1", "1_0", "+5", "1.0", "x"])
+    def test_bad_seed_is_exit_4(self, tmp_path, capsys, seed):
+        rc = main(
+            ["gen-data", "--name", "K", "--dims", "4", "--chunk", "2", "--fill", "uniform",
+             "--seed", seed, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 4
+        assert "bad --seed" in capsys.readouterr().err
+        assert not (tmp_path / "K.bin").exists()
+        assert not (tmp_path / "K.meta.json").exists()
+
     def test_custom_names_and_type(self, tmp_path):
         rc = main(
             [

@@ -163,9 +163,15 @@ class TestGenerate:
     @pytest.mark.parametrize("fill", ["ramp", "uniform", "constant:-2.5", "constant"])
     def test_file_bytes_are_the_values_bytes(self, tmp_path, element_type, fill):
         """The file holds the fill's values cast to the element type, row
-        major: what a copy through tobytes() held."""
+        major: what a copy through tobytes() held. int64 cells refuse a
+        fractional constant, which the cast would truncate."""
         s = ArraySchema("A", element_type, "val", dims2(5, 3, 2, 2))
         n = s.cell_count
+        if fill == "constant:-2.5" and element_type == "int64":
+            with pytest.raises(StoreError, match="bad constant fill"):
+                generate_array(s, fill, tmp_path / "a.bin")
+            assert not (tmp_path / "a.bin").exists()
+            return
         if fill == "ramp":
             values = np.arange(n)
         elif fill == "uniform":

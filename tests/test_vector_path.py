@@ -244,8 +244,17 @@ def reference_pairs(geom, region, keep):
     return [(i, g) for i, g in pairs if keep is None or keep.flat[i]]
 
 
+# 1-cell windows on every third cell of a 7x5 box: the row strip x = 1
+# falls wholly between windows, and the strip x = 0 holds the gap cells
+# y = 1, 2 and 4 beside two windows
+GAPS = make_geometry("sliding", BoundingBox((0, 0), (6, 4)), SlidingParams((0, 0), (0, 0), 3))
+
+
 @settings(max_examples=300, deadline=None)
 @given(regions())
+@example((GAPS, BoundingBox((1, 0), (1, 4)), None))
+@example((GAPS, BoundingBox((0, 0), (0, 4)), None))
+@example((GAPS, BoundingBox((0, 0), (0, 4)), np.array([[True, True, False, False, True]])))
 def test_block_membership_matches_reference(case):
     geom, region, keep = case
     cells, gids = build_membership(geom).block(region, keep)
@@ -488,6 +497,20 @@ EXTREMES = {
 }
 
 
+# GAPS cut in 1-cell rows: rows between windows, and rows with gap cells
+GAP_ROWS = {
+    "box": GAPS.box,
+    "params": GAPS.params,
+    "starts": [0, 0],
+    "chunks": [1, 5],
+    "agg": "avg",
+    "ints": False,
+    "guard": None,
+    "bad": False,
+    "seed": 5,
+}
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=window_folds())
 @example(  # full 3x3 windows whose int64 sums pass 2**63
@@ -506,6 +529,8 @@ EXTREMES = {
 )
 @example(case={**EXTREMES, "agg": "min"})
 @example(case={**EXTREMES, "agg": "max"})
+@example(case={**GAP_ROWS, "density": None})
+@example(case={**GAP_ROWS, "density": 0.6})
 def test_window_kernel_matches_pair_fold(case):
     """On every split, the sliding membership's fold gives the rows and
     counts the pair fold gives, and the same error for a NaN or
