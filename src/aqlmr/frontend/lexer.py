@@ -2,9 +2,10 @@
 
 Keywords are case-insensitive; identifiers keep their spelling. Numbers are
 int when the text has no fraction or exponent, float otherwise; a literal
-too large for a double, int or float, is an error, not infinity: values
-are compared with float64 arrays, and a larger int cannot be. Every token
-carries line and column (1-based) for error reports.
+too large for a double, int or float, is an error, not infinity, so every
+number has a finite float64 neighbour for the exact comparisons of
+predicate.py. Every token carries line and column (1-based) for error
+reports.
 """
 
 from __future__ import annotations
