@@ -21,8 +21,6 @@ _ARRAY_OPS = {
     "=": np.equal,
     "<>": np.not_equal,
 }
-
-
 _INT64 = np.iinfo(np.int64)
 
 
@@ -43,7 +41,8 @@ def _in_type(op: str, constant: int | float, dtype: np.dtype) -> tuple[str, int 
     if isinstance(constant, int) and float(constant) != constant:
         if op in ("=", "<>"):
             return op == "<>"
-        # no float lies strictly between the floats below and above it
+        # it lies strictly between two adjacent floats, so a float cell is
+        # above it when above the lower one, below it when below the upper
         near = float(constant)
         below = near if near < constant else math.nextafter(near, -math.inf)
         above = near if near > constant else math.nextafter(near, math.inf)
@@ -61,6 +60,12 @@ class Comparison:
         if self.op not in _ARRAY_OPS:
             raise ValueError(f"unknown comparator {self.op!r}")
 
+    def mask(self, values: np.ndarray) -> np.ndarray:
+        test = _in_type(self.op, self.constant, values.dtype)
+        if isinstance(test, bool):
+            return np.full(values.shape, test)
+        return _ARRAY_OPS[test[0]](values, test[1])
+
     def render(self) -> str:
         return f"{self.attribute} {self.op} {self.constant!r}"
 
@@ -76,17 +81,9 @@ class ValuePredicate:
             raise ValueError("a value predicate needs at least one comparison")
 
     def mask(self, values: np.ndarray) -> np.ndarray:
-        out = None
-        for c in self.conjuncts:
-            test = _in_type(c.op, c.constant, values.dtype)
-            if isinstance(test, bool):
-                kept = np.full(values.shape, test)
-            else:
-                kept = _ARRAY_OPS[test[0]](values, test[1])
-            if out is None:
-                out = kept
-            else:
-                out &= kept
+        out = self.conjuncts[0].mask(values)
+        for c in self.conjuncts[1:]:
+            out &= c.mask(values)
         return out
 
     def render(self) -> str:
