@@ -12,7 +12,6 @@ from aqlmr import (
     plan,
     run_job,
 )
-from aqlmr.predicate import Comparison, ValuePredicate
 from aqlmr.engine import (
     KEY_BYTES,
     RAW_VALUE_BYTES,
@@ -20,6 +19,7 @@ from aqlmr.engine import (
     SUMMARY_EXT_BYTES,
     Counters,
 )
+from aqlmr.predicate import Comparison, ValuePredicate
 from aqlmr.storage import _bands, compute_splits
 from oracles import (
     apply_predicate,
