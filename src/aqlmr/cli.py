@@ -102,7 +102,6 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     )
     schema = ArraySchema(args.name, args.element_type, args.attribute, dims)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data_path = out_dir / f"{schema.name}.bin"
     generate_array(schema, args.fill, data_path, seed=seed)
     meta_path = save_schema(schema, meta_path_for(out_dir, schema.name))

@@ -159,17 +159,17 @@ def optimized_map(
 @dataclass
 class Shuffled:
     """The shuffle's output: every map output row (Pairs or Summaries) in
-    (split, emission) order, and how many groups they reach. Reducing needs
-    no sort (group sums accumulate in row order), so rows are grouped only
-    when iterated: that yields (gid, items) for each group by ascending id,
-    items being raw values (naive) or AggSummary objects (optimized) in
-    (split, emission) order."""
+    (split, emission) order, and the distinct group ids they reach,
+    ascending. Reducing needs no sort (group sums accumulate in row order),
+    so rows are grouped only when iterated: that yields (gid, items) for
+    each group by ascending id, items being raw values (naive) or AggSummary
+    objects (optimized) in (split, emission) order."""
 
     rows: Pairs | Summaries
-    groups: int
+    ids: np.ndarray
 
     def __len__(self) -> int:
-        return self.groups
+        return len(self.ids)
 
     def __iter__(self):
         rows = _take(self.rows, np.argsort(self.rows.gid, kind="stable"))
@@ -194,7 +194,7 @@ def shuffle(
     """
     rows = _concat(map_outputs)
     counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(rows))
-    grouped = Shuffled(rows, len(group_ids(rows.gid)))
+    grouped = Shuffled(rows, group_ids(rows.gid))
     counters.add("shuffle_groups", len(grouped))
     return grouped
 
@@ -220,8 +220,12 @@ def summary_value_bytes(agg: Aggregator) -> int:
     return SUMMARY_EXT_BYTES if agg.uses_ext else SUMMARY_BYTES
 
 
-def _reduce(rows: Pairs | Summaries, agg: Aggregator) -> tuple[np.ndarray, list]:
-    """Every group's result at once: (group ids, results)."""
+def _reduce(
+    rows: Pairs | Summaries, ids: np.ndarray | None, agg: Aggregator
+) -> tuple[np.ndarray, list]:
+    """Every group's result at once: (group ids, results). ``ids``, the
+    rows' distinct group ids as the shuffle found them, serve a holistic
+    aggregator only."""
     if isinstance(rows, Summaries):
         merged = agg.merge_groups(rows)
         return merged.gid, agg.group_results(merged)
@@ -235,7 +239,7 @@ def _reduce(rows: Pairs | Summaries, agg: Aggregator) -> tuple[np.ndarray, list]
             agg.fold_groups(rows.gid[order], rows.value[order])
             raise
         return folded.gid, agg.group_results(folded)
-    return group_ids(rows.gid), agg.holistic_results(rows.gid, rows.value)
+    return ids, agg.holistic_results(rows.gid, rows.value)
 
 
 def run_job(
@@ -275,18 +279,21 @@ def run_job(
     t1 = time.perf_counter()
 
     value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
-    rows = shuffle(map_outputs, counters, value_bytes=value_bytes).rows
-    del map_outputs  # the shuffled rows are a copy
+    grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
+    rows, ids = grouped.rows, grouped.ids
+    del map_outputs, grouped  # the shuffled rows are a copy
     t2 = time.perf_counter()
 
     group_count = plan.geometry.group_count
     counters.add("reduce_input_records", len(rows))
     values: list[float | int | None] = [None] * group_count
     if len(rows):
-        if not (0 <= rows.gid.min() and rows.gid.max() < group_count):
+        if not (0 <= ids[0] and ids[-1] < group_count):
             raise EngineError(f"group id outside geometry (0..{group_count - 1})")
+        if agg.algebraic:
+            ids = None  # the merge finds its groups itself: free these before it
         try:
-            gids, results = _reduce(rows, agg)
+            gids, results = _reduce(rows, ids, agg)
         except AggregateError as exc:
             where = "reduce" if exc.group is None else f"reduce (group {exc.group})"
             raise EngineError(f"{where}: {exc}") from exc

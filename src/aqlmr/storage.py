@@ -272,7 +272,8 @@ class Catalog:
 def generate_array(
     schema: ArraySchema, fill: str, out_path: Path | str, *, seed: int = 0
 ) -> Path:
-    """Write a dense data file for ``schema``.
+    """Write a dense data file for ``schema``, making its directory once the
+    fill has been checked and built (a refused fill leaves nothing behind).
 
     fill is one of "ramp" (cell at row-major index i gets value i),
     "uniform" (deterministic for a given seed; floats in [0, 1), ints in
@@ -299,6 +300,7 @@ def generate_array(
     except MemoryError:
         raise StoreError(f"not enough memory to generate array {schema.name!r}") from None
     out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     values.tofile(out_path)
     return out_path
 

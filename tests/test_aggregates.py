@@ -102,6 +102,48 @@ class TestFoldAndResult:
         assert reg.get("avg").identity().ext is None
 
 
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def median_cases(draw):
+    """Group ids and values in shuffled input order: many groups of one
+    small size, a few large groups of distinct sizes, ids on both sides of
+    2**16; float64 values with both signed zeros, +-inf and +-1e308 (whose
+    sums overflow), or int64 values near +-2**62 and at int64's ends."""
+    if draw(st.booleans()):
+        element = st.one_of(
+            st.integers(-1000, 1000),
+            st.integers(2**62 - 8, 2**62 + 8),
+            st.integers(-(2**62) - 8, -(2**62) + 8),
+            st.sampled_from([int(INT64.min), int(INT64.min) + 1, int(INT64.max) - 1, int(INT64.max)]),
+        )
+        dtype = np.int64
+    else:
+        element = st.one_of(
+            st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, -math.inf]),
+            st.floats(allow_nan=False),
+        )
+        dtype = np.float64
+    small = draw(st.integers(1, 6))
+    sizes = [small] * draw(st.integers(0, 24)) + draw(st.lists(st.integers(7, 40), max_size=3, unique=True))
+    sizes = sizes or [small]
+    ids = draw(
+        st.lists(
+            st.one_of(st.integers(0, 50), st.integers(2**16 - 4, 2**16 + 4), st.integers(0, 2**17)),
+            min_size=len(sizes), max_size=len(sizes), unique=True,
+        )
+    )
+    values = draw(st.lists(element, min_size=sum(sizes), max_size=sum(sizes)))
+    order = draw(st.permutations(range(len(values))))
+    gids = np.repeat(np.array(ids, np.int64), sizes)[order]
+    return gids, np.array(values, dtype)[order]
+
+
+def _zero_group(signs: str):
+    return np.zeros(len(signs), np.int64), np.array([-0.0 if c == "-" else 0.0 for c in signs])
+
+
 class TestMedian:
     def test_holistic_result(self):
         agg = default_registry().get("median")
@@ -137,10 +179,30 @@ class TestMedian:
             want = [
                 statistics.median(values[gids == g].tolist()) for g in sorted(set(gids.tolist()))
             ]
-            assert agg.holistic_results(gids, values) == want
-            assert Aggregator.holistic_results(agg, gids, values) == want
+            assert list(map(repr, agg.holistic_results(gids, values))) == list(map(repr, want))
+            assert list(map(repr, Aggregator.holistic_results(agg, gids, values))) == list(map(repr, want))
             results.append(want)
         assert results[0] == results[1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=median_cases())
+    # groups of signed zeros ("-" is -0.0) whose middle values are -0.0, 0.0;
+    # 0.0, -0.0; -0.0, -0.0; and an odd group's -0.0: in each, numpy's
+    # default (SIMD) sort can reorder the zeros
+    @example(case=_zero_group("++--++--++----+-"))
+    @example(case=_zero_group("+-+-++-+---++--+"))
+    @example(case=_zero_group("+-+++-+---++--+-"))
+    @example(case=_zero_group("---------+----+-+"))
+    def test_holistic_results_are_statistics_median(self, case):
+        """The vector hook gives statistics.median of each group's values in
+        input order, compared by repr: the same type, the same bits and the
+        same signed zero."""
+        gids, values = case
+        want = [
+            statistics.median(values[gids == g].tolist()) for g in sorted(set(gids.tolist()))
+        ]
+        got = default_registry().get("median").holistic_results(gids, values)
+        assert list(map(repr, got)) == list(map(repr, want))
 
 
 class TestRegistry:
@@ -242,9 +304,6 @@ def test_geomean_merge_property(values, cut):
     agg.update_in_reduce(merged, fold(agg, values[cut:]))
     direct = math.prod(values) ** (1.0 / len(values))
     assert agg.get_agg_result(merged) == pytest.approx(direct, rel=1e-9)
-
-
-INT64 = np.iinfo(np.int64)
 
 
 @st.composite

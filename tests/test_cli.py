@@ -142,6 +142,18 @@ class TestGenData:
         assert not (tmp_path / "K.meta.json").exists()
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--element-type", "int64", "--fill", "constant:1e20"], ["--fill", "waves"],
+         ["--seed", "-1"], ["--dims", "1000000000000000000000x8"]],
+        ids=["int64-constant", "fill", "seed", "size"],
+    )
+    def test_refusal_leaves_no_directory(self, tmp_path, capsys, flags):
+        out = tmp_path / "new" / "data"
+        args = ["gen-data", "--name", "K", "--dims", "4x4", "--chunk", "2x2", *flags]
+        assert main([*args, "--out-dir", str(out)]) == 4
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize(
         "element_type, fill, value",
         [
             ("int64", "constant:-9223372036854775808", -(2**63)),
