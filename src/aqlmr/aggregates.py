@@ -218,9 +218,6 @@ class AggregatorRegistry:
         self._aggs[key] = agg
         return agg
 
-    def has(self, name: str) -> bool:
-        return name.lower() in self._aggs
-
     def get(self, name: str) -> Aggregator:
         try:
             return self._aggs[name.lower()]

@@ -22,7 +22,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .aggregates import AggregateError, default_registry
+from .aggregates import AggregateError
 from .engine import EngineError, run_job
 from .frontend import ParseError, SemanticError, analyze, explain, parse
 from .frontend.parser import parse_int
@@ -140,8 +140,20 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _finite_json(value):
+    """``value`` with each non-finite float as the string "inf", "-inf" or
+    "nan", which strict JSON can hold."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _finite_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(v) for v in value]
+    return value
+
+
 def _write_report(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(path).write_text(json.dumps(_finite_json(doc), indent=2, allow_nan=False) + "\n")
     print(f"report: {path}")
 
 
@@ -195,7 +207,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for count in args.workers.split(","):
         _check_workers(count)
     query = _resolve_query(args.query, args.data_dir)
-    agg = default_registry().get(query.aggregator)
+    agg = query.agg
     if not agg.algebraic:
         raise SemanticError(
             f"{agg.name} is holistic; a holistic aggregator cannot run optimized, "

@@ -26,9 +26,7 @@ import numpy as np
 from .aggregates import (
     AggregateError,
     Aggregator,
-    AggregatorRegistry,
     Summaries,
-    default_registry,
     group_bounds,
     group_ids,
 )
@@ -242,13 +240,8 @@ def _reduce(
     return ids, agg.holistic_results(rows.gid, rows.value)
 
 
-def run_job(
-    plan: JobPlan,
-    workers: int = 1,
-    registry: AggregatorRegistry | None = None,
-) -> JobResult:
-    registry = registry or default_registry()
-    agg = registry.get(plan.query.aggregator)
+def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
+    agg = plan.query.agg
     if plan.mode == "optimized" and not agg.algebraic:
         raise EngineError(
             f"{agg.name} is holistic; a holistic aggregator cannot run optimized"

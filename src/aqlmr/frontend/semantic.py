@@ -1,15 +1,16 @@
 """Semantic analysis: resolve a syntax tree against the catalog.
 
-Produces a QueryObject with the target schema, the query box, a merged value
-predicate, and validated shape parameters. All coordinate checks happen here
-so later stages can assume a well-formed query.
+Produces a QueryObject with the resolved aggregator, the target schema, the
+query box, a merged value predicate, and validated shape parameters. All
+name and coordinate checks happen here so later stages can assume a
+well-formed query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from ..aggregates import AggregateError, Aggregator, AggregatorRegistry, default_registry
 from ..grouping import (
     GridParams,
     RingParams,
@@ -27,9 +28,6 @@ from .nodes import (
     WindowClause,
 )
 
-if TYPE_CHECKING:
-    from ..aggregates import AggregatorRegistry
-
 
 class SemanticError(Exception):
     pass
@@ -37,13 +35,23 @@ class SemanticError(Exception):
 
 @dataclass(frozen=True)
 class QueryObject:
-    aggregator: str
+    """A query resolved once: its aggregator looked up in the registry it
+    was analyzed with, its array in the catalog, its box, predicate and
+    shape parameters checked. Planning and running read ``agg`` and look
+    nothing up again."""
+
+    agg: Aggregator
     kind: str  # grid | sliding | hierarchical | circular
     array: ArraySchema
     box: BoundingBox
     predicate: ValuePredicate | None
     geometry: ShapeParams
     data_path: object = None  # pathlib.Path when the catalog knows the file
+
+    @property
+    def aggregator(self) -> str:
+        """The aggregator's canonical name."""
+        return self.agg.name
 
 
 def _resolve_box(ast: QueryAst, schema: ArraySchema) -> BoundingBox:
@@ -128,14 +136,12 @@ def _ring_params(shape: HierarchicalClause | CircularClause) -> RingParams:
 
 
 def analyze(
-    ast: QueryAst, catalog: Catalog, registry: "AggregatorRegistry | None" = None
+    ast: QueryAst, catalog: Catalog, registry: AggregatorRegistry | None = None
 ) -> QueryObject:
-    if registry is None:
-        from ..aggregates import default_registry
-
-        registry = default_registry()
-    if not registry.has(ast.aggregate_name):
-        raise SemanticError(f"unknown aggregate {ast.aggregate_name!r}")
+    try:
+        agg = (registry or default_registry()).get(ast.aggregate_name)
+    except AggregateError as exc:
+        raise SemanticError(str(exc)) from None
     entry = catalog.get(ast.source.name)
     if entry is None:
         raise SemanticError(f"unknown array {ast.source.name!r}")
@@ -157,7 +163,7 @@ def analyze(
     else:
         kind, params = "circular", _ring_params(shape)
     return QueryObject(
-        aggregator=registry.canonical_name(ast.aggregate_name),
+        agg=agg,
         kind=kind,
         array=schema,
         box=box,

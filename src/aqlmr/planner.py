@@ -1,25 +1,29 @@
 """Job planning: pick a map/reduce template for a query and parameterize it.
 
-A plan pairs one of six fixed templates (grid, sliding, or ring geometry,
-each in naive or optimized flavor) with everything the engine needs at run
-time: the resolved query, the group geometry, and where the splits come from.
-Optimized templates combine summaries inside the mapper and shuffle one
-summary per group per split; naive templates shuffle every (group, value)
-pair. Holistic aggregators cannot be combined early, so asking for optimized
-mode with one downgrades to naive with a warning.
+A plan is a resolved query and a mode, nothing more. Everything the engine
+needs at run time follows from those two and is derived once per plan: the
+template (grid, sliding, or ring geometry, each in naive or optimized
+flavor), the group geometry, and where the splits come from. Optimized
+templates combine summaries inside the mapper and shuffle one summary per
+group per split; naive templates shuffle every (group, value) pair.
+Holistic aggregators cannot be combined early, so asking for optimized mode
+with one downgrades to naive with a warning.
 
 Plans serialize to a parameter file of sorted ``key=value`` lines ("#" starts
 a comment) and load back identically, so a translated query can be shipped to
-and run by a separate process.
+and run by a separate process. A relative ``array.path`` is relative to the
+file's own directory.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .aggregates import AggregatorRegistry, default_registry
+from .aggregates import AggregatorRegistry
 from .frontend.nodes import (
     CircularClause,
     GridClause,
@@ -75,27 +79,35 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class JobPlan:
-    template_id: str
+    """A resolved query and the mode to run it in. The template, the group
+    geometry and the split source are derived from those two, each once per
+    plan, so ``replace(job, mode=...)`` derives them all again."""
+
     mode: str  # "naive" | "optimized"
     query: QueryObject
-    geometry: GroupGeometry
-    splits: SplitSpec
+
+    @cached_property
+    def template_id(self) -> str:
+        return f"{_FAMILY[self.query.kind]}_{'opt' if self.mode == 'optimized' else 'naive'}"
+
+    @cached_property
+    def geometry(self) -> GroupGeometry:
+        return make_geometry(self.query.kind, self.query.box, self.query.geometry)
+
+    @cached_property
+    def splits(self) -> SplitSpec:
+        query = self.query
+        return SplitSpec(query.data_path, query.box, query.array.chunk_shape)
 
 
-def plan(
-    query: QueryObject,
-    mode_request: str = "auto",
-    *,
-    registry: AggregatorRegistry | None = None,
-) -> JobPlan:
+def plan(query: QueryObject, mode_request: str = "auto") -> JobPlan:
     """Choose a template and mode for the query.
 
     mode_request "auto" picks optimized for algebraic aggregators and naive
     for holistic ones; "optimized" on a holistic aggregator warns and
     downgrades.
     """
-    registry = registry or default_registry()
-    agg = registry.get(query.aggregator)
+    agg = query.agg
     if mode_request == "auto":
         mode = "optimized" if agg.algebraic else "naive"
     elif mode_request == "naive":
@@ -113,14 +125,7 @@ def plan(
             mode = "naive"
     else:
         raise PlanError(f"unknown mode {mode_request!r} (expected auto, naive, or optimized)")
-    template_id = f"{_FAMILY[query.kind]}_{'opt' if mode == 'optimized' else 'naive'}"
-    return JobPlan(
-        template_id=template_id,
-        mode=mode,
-        query=query,
-        geometry=make_geometry(query.kind, query.box, query.geometry),
-        splits=SplitSpec(query.data_path, query.box, query.array.chunk_shape),
-    )
+    return JobPlan(mode, query)
 
 
 def render_plan(plan: JobPlan) -> str:
@@ -183,11 +188,15 @@ def config_pairs(plan: JobPlan) -> dict[str, str]:
 
 
 def emit_param_config(plan: JobPlan, out_path: Path | str) -> Path:
-    """Write the plan as sorted key=value lines; byte-identical for equal plans."""
+    """Write the plan as sorted key=value lines; byte-identical for equal
+    plans. A relative data path is written relative to the file's directory."""
+    out_path = Path(out_path)
     pairs = config_pairs(plan)
+    data_path = plan.splits.data_path
+    if data_path is not None and not data_path.is_absolute():
+        pairs["array.path"] = os.path.relpath(data_path, out_path.parent)
     lines = ["# map/reduce job parameters"]
     lines.extend(f"{k}={pairs[k]}" for k in sorted(pairs))
-    out_path = Path(out_path)
     out_path.write_text("\n".join(lines) + "\n")
     return out_path
 
@@ -297,10 +306,11 @@ def load_param_config(
     plan derives. Only what the format adds (its key lines, the catalog
     cross-check, the fixed mode, the workers count older files carry) is
     checked here. The file is self-contained; a catalog, when given,
-    supplies the data path and cross-checks the schema.
+    supplies the data path and cross-checks the schema. A relative
+    ``array.path`` is read relative to the file's directory.
     """
-    registry = registry or default_registry()
-    pairs = _parse_pairs(Path(path).read_text())
+    path = Path(path)
+    pairs = _parse_pairs(path.read_text())
 
     try:
         schema = ArraySchema(
@@ -314,7 +324,9 @@ def load_param_config(
             raise
         raise ConfigError(f"bad array schema in config: {exc}") from exc
 
-    data_path = Path(pairs["array.path"]) if "array.path" in pairs else None
+    data_path = None
+    if "array.path" in pairs:
+        data_path = Path(os.path.normpath(os.path.join(path.parent, pairs["array.path"])))
     if catalog is not None:
         entry = catalog.get(schema.name)
         if entry is None:
@@ -345,7 +357,7 @@ def load_param_config(
     mode = _require(pairs, "mode")
     if mode not in ("naive", "optimized"):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "optimized" and not registry.get(query.aggregator).algebraic:
+    if mode == "optimized" and not query.agg.algebraic:
         raise ConfigError(
             f"{query.aggregator} is holistic; a holistic aggregator cannot run optimized"
         )
@@ -353,7 +365,7 @@ def load_param_config(
     # checked and then ignored
     if "workers" in pairs and _int(pairs, "workers") < 1:
         raise ConfigError("workers must be >= 1")
-    job = plan(query, mode, registry=registry)
+    job = plan(query, mode)
 
     _check_keys(pairs, config_pairs(job))
     return job

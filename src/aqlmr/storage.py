@@ -262,6 +262,8 @@ class Catalog:
 
     @classmethod
     def load_dir(cls, directory: Path | str) -> "Catalog":
+        if not Path(directory).is_dir():
+            raise StoreError(f"data directory not found: {directory}")
         catalog = cls()
         for meta in sorted(Path(directory).glob("*.meta.json")):
             schema = load_schema(meta)

@@ -492,7 +492,7 @@ def test_c09_holistic_gating(accept_dir):
         load_param_config(cfg)
 
     # and the engine itself refuses a forged plan
-    forged = replace(auto, mode="optimized", template_id="grid_opt")
+    forged = replace(auto, mode="optimized")
     with pytest.raises(EngineError, match="holistic aggregator cannot run optimized"):
         run_job(forged)
 

@@ -423,6 +423,18 @@ class TestTranslateAndConfigRun:
         again = emit_param_config(load_param_config(cfg), tmp_path / "again.cfg")
         assert again.read_bytes() == cfg.read_bytes()
 
+    def test_config_path_is_relative_to_the_file(self, data_dir, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "other").mkdir()
+        rc = main(["translate", GRID_Q, "--data-dir", "./data", "--out", "sub/job.cfg"])
+        assert rc == 0
+        assert "array.path=../data/A.bin" in (tmp_path / "sub" / "job.cfg").read_text()
+        monkeypatch.chdir(tmp_path / "other")
+        capsys.readouterr()
+        assert main(["run", "--config", "../sub/job.cfg"]) == 0
+        assert "map_input_records: 256" in capsys.readouterr().out
+
     def test_config_against_catalog(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "job.cfg"
         main(["translate", GRID_Q, "--data-dir", str(data_dir), "--out", str(cfg)])
@@ -489,6 +501,63 @@ class TestBench:
         build_array(tmp_path, extents=(3,), chunks=(3,), values=np.array([math.inf, 1.0, 2.0]))
         query = "select sum(val) from A fixed window as (partition by x 1 preceding and 1 following)"
         assert main(["bench", query, "--data-dir", str(tmp_path)]) == 0
+
+
+def _strict_json(path) -> dict:
+    """The file as strict JSON: the bare tokens Infinity, -Infinity and NaN
+    are refused."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJsonReports:
+    def test_run_report_writes_non_finite_values_as_strings(self, tmp_path, capsys):
+        build_array(tmp_path, extents=(4, 4), chunks=(2, 2), fill="constant:1e308")
+        report = tmp_path / "r.json"
+        query = "select sum(val) from A grid as (partition by x 4, y 4)"
+        rc = main(["run", "--query", query, "--data-dir", str(tmp_path), "--report", str(report)])
+        assert rc == 0
+        assert _strict_json(report)["groups"][0]["value"] == "inf"
+
+    def test_bench_report_writes_an_infinite_ratio_as_a_string(self, data_dir, tmp_path):
+        report = tmp_path / "bench.json"
+        query = "select sum(val) from A where val < 0 grid as (partition by x 8, y 8)"
+        rc = main(["bench", query, "--data-dir", str(data_dir), "--report", str(report)])
+        assert rc == 0
+        assert _strict_json(report)["ratios"] == {
+            "map_output_records": "inf",
+            "bytes_shuffled": "inf",
+        }
+
+
+DATA_DIR_COMMANDS = {
+    "explain": lambda d, tmp: ["explain", GRID_Q, "--data-dir", d],
+    "translate": lambda d, tmp: ["translate", GRID_Q, "--data-dir", d, "--out", str(tmp / "j.cfg")],
+    "run": lambda d, tmp: ["run", "--query", GRID_Q, "--data-dir", d],
+    "bench": lambda d, tmp: ["bench", GRID_Q, "--data-dir", d],
+}
+
+
+class TestDataDir:
+    @pytest.mark.parametrize("command", DATA_DIR_COMMANDS)
+    @pytest.mark.parametrize("target", ["missing", "file"])
+    def test_missing_data_dir_is_exit_4(self, tmp_path, capsys, command, target):
+        path = tmp_path / target
+        if target == "file":
+            path.write_text("")
+        rc = main(DATA_DIR_COMMANDS[command](str(path), tmp_path))
+        assert rc == 4
+        assert f"data directory not found: {path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", DATA_DIR_COMMANDS)
+    def test_empty_data_dir_is_exit_3(self, tmp_path, capsys, command):
+        (tmp_path / "empty").mkdir()
+        rc = main(DATA_DIR_COMMANDS[command](str(tmp_path / "empty"), tmp_path))
+        assert rc == 3
+        assert "unknown array 'A'" in capsys.readouterr().err
 
 
 # past a double's range (and int()'s 4300-digit limit)

@@ -430,7 +430,7 @@ class TestMedianRuns:
             parse("select median(val) from A grid as (partition by x 2, y 2)"),
             built.catalog,
         )
-        job = replace(plan(query, "naive"), mode="optimized", template_id="grid_opt")
+        job = replace(plan(query, "naive"), mode="optimized")
         with pytest.raises(EngineError, match="holistic aggregator cannot run optimized"):
             run_job(job)
 

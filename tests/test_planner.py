@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -82,6 +83,12 @@ class TestModeSelection:
         assert job.splits.chunk_shape == (4, 4)
         assert job.splits.data_path == built.data_path
         assert "grid_opt" in render_plan(job)
+
+    def test_replaced_mode_derives_the_template_again(self, built, tmp_path):
+        job = replace(make_plan(built, GRID_Q, "naive"), mode="optimized")
+        assert job.template_id == "grid_opt"
+        assert job == make_plan(built, GRID_Q, "optimized")
+        assert load_param_config(emit_param_config(job, tmp_path / "job.cfg")) == job
 
 
 class TestParamConfig:

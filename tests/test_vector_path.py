@@ -312,10 +312,10 @@ def test_custom_aggregators_use_their_scalar_hooks(tmp_path, monkeypatch, mode, 
         query = analyze(parse(text), built.catalog, registry)
         if mode == "optimized" and not agg.algebraic:
             with pytest.warns(PlanDowngradeWarning):
-                job = plan(query, mode, registry=registry)
+                job = plan(query, mode)
         else:
-            job = plan(query, mode, registry=registry)
-        result = run_job(job, registry=registry)
+            job = plan(query, mode)
+        result = run_job(job)
         groups = group_value_lists(
             built.values, (0, 0), (8, 6), predicate=[(">", threshold)], **kwargs
         )
