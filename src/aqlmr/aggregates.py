@@ -224,9 +224,6 @@ class AggregatorRegistry:
         except KeyError:
             raise AggregateError(f"unknown aggregate {name!r}") from None
 
-    def canonical_name(self, name: str) -> str:
-        return self.get(name).name
-
 
 _DEFAULT: AggregatorRegistry | None = None
 

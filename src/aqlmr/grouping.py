@@ -13,6 +13,14 @@ Four kinds of geometry over a query box:
 * circular: concentric circular rings (Euclidean distance) around the box
   centroid; each cell belongs to exactly one ring.
 
+A grid block of side p is the tumbling window (0 preceding, p - 1 following,
+stride p), so grids and sliding windows share one window lattice, which
+make_geometry derives once and group counts, extents and both memberships
+read. The memberships stay apart: sent through the sliding window table,
+grids made run_job's CPU time on a filtered SUM over 32x32 blocks of a
+1024x1024 array rise from 28 to 98 ms (the masked window fill), and
+pair-folded grids (STDDEV, MEDIAN, naive AVG) 20-50% slower.
+
 Ring radii grow from an initial radius by a fixed step until a ring reaches
 the box boundary (the largest radius whose full extent still fits: the
 smallest r with r >= the largest inscribed radius). Cells beyond the last
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
 from math import isqrt, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -84,12 +92,24 @@ class RingExtent:
         return f"({self.inner},{self.outer}]"
 
 
+class WindowAxis(NamedTuple):
+    """One dimension of a window lattice: window k covers the box cells from
+    k*stride - preceding to k*stride + following, counted from the box's low
+    edge, for k in 0..count-1."""
+
+    preceding: int
+    following: int
+    stride: int
+    count: int
+
+
 @dataclass(frozen=True)
 class GroupGeometry:
     kind: str  # grid | sliding | hierarchical | circular
     box: BoundingBox
     params: ShapeParams
     centroid: tuple[int, ...] | None  # set for ring kinds only
+    lattice: tuple[WindowAxis, ...] | None  # set for grid and sliding only
     group_count: int
 
 
@@ -110,42 +130,37 @@ def _ring_count(box: BoundingBox, params: RingParams) -> int:
     return -(-(r_in - params.radius0) // params.step) + 1
 
 
-def _grid_block_counts(box: BoundingBox, params: GridParams) -> tuple[int, ...]:
-    return tuple(-(-s // p) for s, p in zip(box.shape, params.partitions))
-
-
-def _sliding_center_counts(box: BoundingBox, params: SlidingParams) -> tuple[int, ...]:
-    return tuple((s - 1) // params.stride + 1 for s in box.shape)
+def _lattice(box: BoundingBox, params: GridParams | SlidingParams) -> tuple[WindowAxis, ...]:
+    """The geometry's windows, per dimension, each integer bounded by the box
+    to a value that gives the same windows, so numpy only sees integers of
+    the box's size."""
+    if isinstance(params, GridParams):
+        spans = [(0, p - 1, p) for p in params.partitions]
+    else:
+        spans = [(p, f, params.stride) for p, f in zip(params.preceding, params.following)]
+    return tuple(
+        WindowAxis(min(p, n - 1), min(f, n - 1), min(s, n), (n - 1) // s + 1)
+        for (p, f, s), n in zip(spans, box.shape)
+    )
 
 
 def make_geometry(kind: str, box: BoundingBox, params: ShapeParams) -> GroupGeometry:
-    if kind == "grid":
-        assert isinstance(params, GridParams)
-        count = prod(_grid_block_counts(box, params))
-        centroid = None
-    elif kind == "sliding":
-        assert isinstance(params, SlidingParams)
-        count = prod(_sliding_center_counts(box, params))
-        centroid = None
+    centroid = lattice = None
+    if kind in ("grid", "sliding"):
+        assert isinstance(params, GridParams if kind == "grid" else SlidingParams)
+        lattice = _lattice(box, params)
+        count = prod(w.count for w in lattice)
     elif kind in ("hierarchical", "circular"):
         assert isinstance(params, RingParams)
         count = _ring_count(box, params)
         centroid = _box_centroid(box)
     else:
         raise ValueError(f"unknown geometry kind {kind!r}")
-    return GroupGeometry(kind, box, params, centroid, count)
+    return GroupGeometry(kind, box, params, centroid, lattice, count)
 
 
 def geometry_for(query: "QueryObject") -> GroupGeometry:
     return make_geometry(query.kind, query.box, query.geometry)
-
-
-def _unravel(gid: int, counts: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for n in reversed(counts):
-        out.append(gid % n)
-        gid //= n
-    return tuple(reversed(out))
 
 
 def _ceil_sqrt(d2: int) -> int:
@@ -201,25 +216,20 @@ class _Windows(Membership):
     and counts equal those of fold_groups over the pairs, which the region
     takes where the aggregator gives no aggregate."""
 
-    def __init__(self, box: BoundingBox, params: SlidingParams) -> None:
+    def __init__(self, box: BoundingBox, lattice: tuple[WindowAxis, ...]) -> None:
         super().__init__(box, self._pairs)
-        self._counts = _sliding_center_counts(box, params)
-        self._stride = min(params.stride, max(box.shape))
-        self._prec = [min(p, n - 1) for p, n in zip(params.preceding, box.shape)]
-        self._foll = [min(f, n - 1) for f, n in zip(params.following, box.shape)]
+        self._lattice = lattice
+        self._counts = [w.count for w in lattice]
         # the most cells a window holds
-        self._cells = prod(p + f + 1 for p, f in zip(self._prec, self._foll))
+        self._cells = prod(w.preceding + w.following + 1 for w in lattice)
 
     def _axes(self, region: BoundingBox):
         """Per dimension, the lattice indices of the windows that reach the
         region, each window's first cell (an index into the region) and cell
         count, and one (window slice, cell slice) per window offset that
         lands in the region. None when the region falls between windows."""
-        s = self._stride
         axes = []
-        for lo, hi, l, p, f, n in zip(
-            region.lo, region.hi, self._box.lo, self._prec, self._foll, self._counts
-        ):
+        for lo, hi, l, (p, f, s, n) in zip(region.lo, region.hi, self._box.lo, self._lattice):
             a, b = lo - l, hi - l
             kmin, kmax = max(-((f - a) // s), 0), min((b + p) // s, n - 1)
             if kmax < kmin:
@@ -363,31 +373,23 @@ def _ring_pairs(geom: GroupGeometry, region: BoundingBox, keep):
 
 
 def build_membership(geom: GroupGeometry) -> Membership:
-    """Compile the membership function once for a job. Each geometry integer
-    is first bounded by the box, to a value that gives the same ids, so numpy
-    only sees integers of the box's size."""
-    params = geom.params
-    box = geom.box
-    if geom.kind == "grid":
-        assert isinstance(params, GridParams)
-        counts = _grid_block_counts(box, params)
-        sizes = [min(p, n) for p, n in zip(params.partitions, box.shape)]
-
-        def grid_block(region: BoundingBox, keep):
-            axes = [
-                _floor_div(a - l, b - l, p)
-                for a, b, l, p in zip(region.lo, region.hi, box.lo, sizes)
-            ]
-            cells = _kept(region, keep)
-            return cells, _ravel(axes, counts)[cells]
-
-        return Membership(box, grid_block)
-
+    """Compile the membership function once for a job."""
+    box, lattice = geom.box, geom.lattice
+    if lattice is None:
+        return Membership(box, partial(_ring_pairs, geom))
     if geom.kind == "sliding":
-        assert isinstance(params, SlidingParams)
-        return _Windows(box, params)
+        return _Windows(box, lattice)
+    counts = [w.count for w in lattice]
 
-    return Membership(box, partial(_ring_pairs, geom))
+    def grid_block(region: BoundingBox, keep):
+        axes = [
+            _floor_div(a - l, b - l, w.stride)
+            for a, b, l, w in zip(region.lo, region.hi, box.lo, lattice)
+        ]
+        cells = _kept(region, keep)
+        return cells, _ravel(axes, counts)[cells]
+
+    return Membership(box, grid_block)
 
 
 def group_extent(gid: int, geom: GroupGeometry) -> BoundingBox | RingExtent:
@@ -395,25 +397,16 @@ def group_extent(gid: int, geom: GroupGeometry) -> BoundingBox | RingExtent:
     interval for rings."""
     if not 0 <= gid < geom.group_count:
         raise ValueError(f"group id {gid} out of range (0..{geom.group_count - 1})")
+    box, lattice = geom.box, geom.lattice
+    if lattice is not None:
+        lo, hi = [], []  # last dimension first, as the row-major id unravels
+        for l, h, (p, f, s, n) in zip(box.lo[::-1], box.hi[::-1], lattice[::-1]):
+            gid, k = divmod(gid, n)
+            center = l + k * s
+            lo.append(max(l, center - p))
+            hi.append(min(h, center + f))
+        return BoundingBox(tuple(lo[::-1]), tuple(hi[::-1]))
     params = geom.params
-    box = geom.box
-    if geom.kind == "grid":
-        assert isinstance(params, GridParams)
-        counts = _grid_block_counts(box, params)
-        idx = _unravel(gid, counts)
-        lo = tuple(l + i * p for l, i, p in zip(box.lo, idx, params.partitions))
-        hi = tuple(
-            min(a + p - 1, h) for a, p, h in zip(lo, params.partitions, box.hi)
-        )
-        return BoundingBox(lo, hi)
-    if geom.kind == "sliding":
-        assert isinstance(params, SlidingParams)
-        counts = _sliding_center_counts(box, params)
-        idx = _unravel(gid, counts)
-        centers = tuple(l + i * params.stride for l, i in zip(box.lo, idx))
-        lo = tuple(max(l, c - p) for l, c, p in zip(box.lo, centers, params.preceding))
-        hi = tuple(min(h, c + f) for h, c, f in zip(box.hi, centers, params.following))
-        return BoundingBox(lo, hi)
     assert isinstance(params, RingParams)
     outer = params.radius0 + gid * params.step
     if params.mode == "nested" or gid == 0:

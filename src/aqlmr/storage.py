@@ -135,7 +135,10 @@ class BoundingBox:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(h - l + 1 for l, h in zip(self.lo, self.hi))
+        # from a list: tuple() over a generator allocates a larger tuple and
+        # shrinks it, moving a block between the interpreter's free lists on
+        # every call, which memory tracing counts as growth
+        return tuple([h - l + 1 for l, h in zip(self.lo, self.hi)])
 
     @property
     def cell_count(self) -> int:
@@ -345,30 +348,23 @@ def compute_splits(
     if box.ndim != schema.ndim or box.intersect(whole) != box:
         raise StoreError(f"box {box} out of bounds for array {schema.name!r}")
     counts = _chunk_counts(schema)
-    # per-dimension range of chunk indices the box touches
-    idx_ranges = []
-    for d, lo, hi in zip(schema.dims, box.lo, box.hi):
-        idx_ranges.append(range((lo - d.start) // d.chunk, (hi - d.start) // d.chunk + 1))
+    # per dimension, (chunk index, low, high) of every chunk the box touches,
+    # clipped to the box
+    axes = [
+        [
+            (i, max(lo, d.start + i * d.chunk), min(hi, d.start + (i + 1) * d.chunk - 1))
+            for i in range((lo - d.start) // d.chunk, (hi - d.start) // d.chunk + 1)
+        ]
+        for d, lo, hi in zip(schema.dims, box.lo, box.hi)
+    ]
     path = Path(data_path) if data_path is not None else None
     splits = []
-    for chunk_idx in product(*idx_ranges):
+    for chunks in product(*axes):
+        chunk_idx, lo, hi = zip(*chunks)
         split_id = 0
         for i, n in zip(chunk_idx, counts):
             split_id = split_id * n + i
-        chunk_lo = tuple(d.start + i * d.chunk for d, i in zip(schema.dims, chunk_idx))
-        chunk_hi = tuple(
-            min(l + d.chunk - 1, d.end) for d, l in zip(schema.dims, chunk_lo)
-        )
-        region = box.intersect(BoundingBox(chunk_lo, chunk_hi))
-        assert region is not None  # chunk_idx ranges guarantee overlap
-        splits.append(
-            ArraySplit(
-                split_id=split_id,
-                region=region,
-                schema=schema,
-                data_path=path,
-            )
-        )
+        splits.append(ArraySplit(split_id, BoundingBox(lo, hi), schema, path))
     return splits
 
 

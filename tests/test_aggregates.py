@@ -209,7 +209,7 @@ class TestRegistry:
     def test_case_insensitive(self):
         reg = default_registry()
         assert reg.get("AVG") is reg.get("avg")
-        assert reg.canonical_name("StdDev") == "stddev"
+        assert reg.get("StdDev").name == "stddev"
 
     def test_unknown(self):
         with pytest.raises(AggregateError, match="unknown aggregate"):

@@ -522,15 +522,18 @@ class TestStrictJsonReports:
         assert rc == 0
         assert _strict_json(report)["groups"][0]["value"] == "inf"
 
-    def test_bench_report_writes_an_infinite_ratio_as_a_string(self, data_dir, tmp_path):
+    def test_bench_ratio_is_one_when_neither_mode_emits(self, data_dir, tmp_path, capsys):
         report = tmp_path / "bench.json"
         query = "select sum(val) from A where val < 0 grid as (partition by x 8, y 8)"
         rc = main(["bench", query, "--data-dir", str(data_dir), "--report", str(report)])
         assert rc == 0
         assert _strict_json(report)["ratios"] == {
-            "map_output_records": "inf",
-            "bytes_shuffled": "inf",
+            "map_output_records": 1.0,
+            "bytes_shuffled": 1.0,
         }
+        out = capsys.readouterr().out
+        assert "map_output_records ratio (naive/optimized): 1.00" in out
+        assert "bytes_shuffled ratio (naive/optimized): 1.00" in out
 
 
 DATA_DIR_COMMANDS = {

@@ -2,6 +2,7 @@ import json
 import os
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -262,6 +263,48 @@ class TestSplits:
         splits = compute_splits(s3, s3.whole_box())
         assert len(splits) == 8
         assert all(sp.region.cell_count == 8 for sp in splits)
+
+
+def _splits_by_chunk_box(schema, box):
+    """(split id, region) of every split, built chunk by chunk: each chunk's
+    box intersected with the query box."""
+    counts = [-(-d.extent // d.chunk) for d in schema.dims]
+    spans = [
+        range((lo - d.start) // d.chunk, (hi - d.start) // d.chunk + 1)
+        for d, lo, hi in zip(schema.dims, box.lo, box.hi)
+    ]
+    out = []
+    for chunk_idx in product(*spans):
+        split_id = 0
+        for i, n in zip(chunk_idx, counts):
+            split_id = split_id * n + i
+        chunk_lo = tuple(d.start + i * d.chunk for d, i in zip(schema.dims, chunk_idx))
+        chunk_hi = tuple(min(l + d.chunk - 1, d.end) for d, l in zip(schema.dims, chunk_lo))
+        out.append((split_id, box.intersect(BoundingBox(chunk_lo, chunk_hi))))
+    return out
+
+
+@st.composite
+def _split_case(draw):
+    """A 1-3-d schema with nonzero starts and ragged chunks, and a box in it."""
+    dims, lo, hi = [], [], []
+    for name in "xyz"[: draw(st.integers(1, 3))]:
+        start = draw(st.integers(-20, 20))
+        extent = draw(st.integers(1, 30))
+        dims.append(DimSpec(name, start, start + extent - 1, draw(st.integers(1, extent))))
+        a, b = sorted(draw(st.integers(start, start + extent - 1)) for _ in range(2))
+        lo.append(a)
+        hi.append(b)
+    return ArraySchema("P", "float64", "val", tuple(dims)), BoundingBox(tuple(lo), tuple(hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_case())
+def test_splits_match_the_chunk_box_construction(case):
+    schema, box = case
+    splits = compute_splits(schema, box, "P.bin")
+    assert [(sp.split_id, sp.region) for sp in splits] == _splits_by_chunk_box(schema, box)
+    assert all(sp.schema is schema and str(sp.data_path) == "P.bin" for sp in splits)
 
 
 class TestReadSplit:

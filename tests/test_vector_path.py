@@ -7,7 +7,8 @@ at 1e15 plus noise, and int64 values near +-2**62, whose sums overflow
 int64. Filters that empty some or all splits and single-cell boxes come up
 on their own. Block membership is checked against each shape's
 definition: group extents for grids and windows, exact integer distances
-for rings. The optimized sliding map's window kernels are checked against
+for rings. A grid is checked against its tumbling window, from geometry to
+run_job. The optimized sliding map's window kernels are checked against
 the pair fold they replace, on every split of ragged chunkings.
 """
 
@@ -37,6 +38,7 @@ from aqlmr import (
     build_membership,
     default_registry,
     group_extent,
+    groups_of,
     make_geometry,
     parse,
     plan,
@@ -268,6 +270,73 @@ def test_block_membership_matches_reference(case):
         assert np.all(np.diff(members) > 0)
     firsts = list(dict.fromkeys(cells.tolist()))
     assert firsts == sorted(firsts)
+
+
+@st.composite
+def tumbling(draw):
+    """An array of 1-3 dimensions with nonzero starts and ragged chunks, a
+    box in it and one partition size for every dimension, up to past 2**63."""
+    ndim = draw(st.integers(1, 3))
+    side = 9 if ndim < 3 else 5
+    dims = []
+    for name in NAMES[:ndim]:
+        start, extent = draw(st.integers(-6, 6)), draw(st.integers(1, side))
+        dims.append(DimSpec(name, start, start + extent - 1, draw(st.integers(1, extent))))
+    lo, hi = [], []
+    for d in dims:
+        a, b = sorted(draw(st.integers(d.start, d.end)) for _ in range(2))
+        lo.append(a)
+        hi.append(b)
+    size = draw(st.integers(1, 6) | st.integers(2**63, 2**64))
+    where = draw(st.sampled_from(["", " where val > 500.0"]))
+    schema = ArraySchema("A", "float64", "val", tuple(dims))
+    return schema, BoundingBox(tuple(lo), tuple(hi)), size, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=tumbling(), seed=st.integers(0, 2**32 - 1))
+@example(
+    case=(
+        ArraySchema("A", "float64", "val", (DimSpec("x", -3, 4, 3), DimSpec("y", 2, 8, 4))),
+        BoundingBox((-2, 3), (4, 8)),
+        2**63 + 1,
+        "",
+    ),
+    seed=0,
+)
+def test_grid_is_its_tumbling_window(tmp_path_factory, case, seed):
+    """A grid block of side P is the window 0 preceding and P - 1 following
+    with stride P: the same groups, extents and memberships, and through
+    run_job the same counters, with results equal up to the fold order."""
+    schema, box, size, where = case
+    ndim = box.ndim
+    grid = make_geometry("grid", box, GridParams((size,) * ndim))
+    window = make_geometry("sliding", box, SlidingParams((0,) * ndim, (size - 1,) * ndim, size))
+    assert grid.group_count == window.group_count
+    assert all(
+        group_extent(g, grid) == group_extent(g, window) for g in range(grid.group_count)
+    )
+    cells = list(product(*(range(l, h + 1) for l, h in zip(box.lo, box.hi))))
+    assert [groups_of(c, grid) for c in cells] == [groups_of(c, window) for c in cells]
+
+    directory = tmp_path_factory.mktemp("tumbling")
+    values = 1.0 + np.random.default_rng(seed).random(schema.extents) * 1e3
+    write_array(schema, values, directory / "A.bin")
+    save_schema(schema, directory / "A.meta.json")
+    catalog = Catalog.load_dir(directory)
+    source = f"between (A, {', '.join(map(str, box.lo + box.hi))})"
+    grid_shape = shape_clause("grid", grid.params)
+    window_shape = shape_clause("sliding", window.params)
+    for agg in ("sum", "count", "avg", "min", "max", "stddev", "geomean"):
+        for mode in ("naive", "optimized"):
+            text = f"select {agg}(val) from {source}{where} "
+            a = run_job(plan(analyze(parse(text + grid_shape), catalog), mode))
+            b = run_job(plan(analyze(parse(text + window_shape), catalog), mode))
+            context = f"{text}{grid_shape} ({mode})"
+            assert a.counters == b.counters, context
+            assert len(a.values) == len(b.values) == grid.group_count, context
+            for gid, (x, y) in enumerate(zip(a.values, b.values)):
+                assert_close(x, y, context=f"{context} group {gid}")
 
 
 class Distinct(Aggregator):
