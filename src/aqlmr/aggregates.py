@@ -15,14 +15,17 @@ The engine works on whole columns through four vector hooks: fold_groups
 (update_in_map for every (group, value) pair of a map task), merge_groups
 (update_in_reduce for every summary row of the shuffle), group_results
 (get_agg_result per group) and holistic_results (holistic_result per
-group). The base class derives each from the scalar hooks with a loop, so an
-aggregator that defines only the scalar hooks runs in both modes. Only
-custom aggregators take that loop: the built-ins (builtin_aggregates.py)
-override the vector hooks with numpy, derived from the ``combine`` kind a
-built-in declares (sum, count, minimum or maximum), which also lets the
-optimized sliding map compute every window's summary with a kernel
-(window_aggregate, called by grouping's sliding fold) instead of
-fold_groups.
+group). A reducer's rows come grouped by the shuffle: their ids are slots
+0..len(sizes)-1 and ``sizes``, passed to fold_groups, merge_groups and
+holistic_results, counts the rows of each slot, so a hook need not group
+them again. The base class derives each hook from the scalar hooks with a
+loop, so an aggregator that defines only the scalar hooks runs in both
+modes. Only custom aggregators take that loop: the built-ins
+(builtin_aggregates.py) override the vector hooks with numpy, derived from
+the ``combine`` kind a built-in declares (sum, count, minimum or maximum),
+which also lets the optimized sliding map compute every window's summary
+with a kernel (window_aggregate, called by grouping's sliding fold) instead
+of fold_groups.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 
 class AggregateError(Exception):
-    group: int | None = None  # the group being aggregated, when known
+    group: int | None = None  # the group being aggregated, when known (a reducer: its slot)
 
 
 class AggregateDomainError(AggregateError):
@@ -102,14 +105,6 @@ def group_bounds(gids: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], inner, [len(gids)]))
 
 
-def group_ids(gids: np.ndarray) -> np.ndarray:
-    """The distinct ids in ``gids``, ascending."""
-    if not len(gids):
-        return gids
-    lo, _, present = _span(gids)
-    return present + lo
-
-
 def group_order(gids: np.ndarray) -> np.ndarray:
     """A stable argsort of group ids. Ids from 0 to 2**16 - 1 sort as
     uint16, for which numpy's stable sort is a radix sort, several times
@@ -126,10 +121,10 @@ def _in_group(exc: AggregateError, gid) -> AggregateError:
 
 def _span(gids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Group ids, in any order, as slots of the range they span: (lo, each
-    input's slot gid - lo, the slots some input reaches, ascending)."""
+    input's slot gid - lo, the rows in each slot)."""
     lo = int(gids.min())
     row = gids - lo
-    return lo, row, np.flatnonzero(np.bincount(row))
+    return lo, row, np.bincount(row)
 
 
 class Aggregator:
@@ -161,14 +156,18 @@ class Aggregator:
     def holistic_result(self, values: Sequence[float | int]) -> float | int | None:
         raise AggregateError(f"{self.name} has no holistic evaluation")
 
-    def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
+    def fold_groups(
+        self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray | None = None
+    ) -> Summaries:
         """update_in_map of each value into its group's summary, in input
-        order: one row per group present, by ascending id."""
+        order: one row per group present, by ascending id. With ``sizes``,
+        the ids are slots and sizes[s] the rows of slot s (the scalar loop
+        finds its groups itself and ignores it)."""
         return self._accumulate(gids.tolist(), values.tolist(), self.update_in_map)
 
-    def merge_groups(self, table: Summaries) -> Summaries:
+    def merge_groups(self, table: Summaries, sizes: np.ndarray | None = None) -> Summaries:
         """update_in_reduce of each group's rows, in row order: one row per
-        group present, by ascending id."""
+        group present, by ascending id. ``sizes`` as for fold_groups."""
         return self._accumulate(table.gid.tolist(), table.rows(), self.update_in_reduce)
 
     def _accumulate(self, gids: list[int], items: list, update) -> Summaries:
@@ -188,9 +187,11 @@ class Aggregator:
         """get_agg_result of each row."""
         return [self.get_agg_result(s) for s in table.rows()]
 
-    def holistic_results(self, gids: np.ndarray, values: np.ndarray) -> list:
+    def holistic_results(
+        self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray | None = None
+    ) -> list:
         """holistic_result of each group's values, in input order, for each
-        group by ascending id."""
+        group by ascending id. ``sizes`` as for fold_groups."""
         order = group_order(gids)
         gids, vals = gids[order], values[order].tolist()
         bounds = group_bounds(gids).tolist()

@@ -110,10 +110,10 @@ class _Columnar(Aggregator):
         _reject_nan(gids, values)
         return values
 
-    def fold_groups(self, gids: np.ndarray, values: np.ndarray) -> Summaries:
+    def fold_groups(self, gids: np.ndarray, values: np.ndarray, sizes=None) -> Summaries:
         values = self.lift(gids, values)
         ext = np.zeros(len(values)) if self.uses_ext else None
-        return self.merge_groups(Summaries(gids, values, np.ones(len(values)), ext))
+        return self.merge_groups(Summaries(gids, values, np.ones(len(values)), ext), sizes)
 
     def window_aggregate(self, block: np.ndarray, keep: np.ndarray | None, cells: int, slide):
         """Each window's aggregate column, as fold_groups gives it, from
@@ -149,12 +149,17 @@ class _Columnar(Aggregator):
         with np.errstate(over="ignore", invalid="ignore"):
             return slide(values, _UFUNCS[self.combine], start).ravel()
 
-    def merge_groups(self, table: Summaries) -> Summaries:
+    def merge_groups(self, table: Summaries, sizes=None) -> Summaries:
         if not len(table):
             return table
-        lo, row, present = _span(table.gid)
-        merged = self._merge(row, int(present[-1]) + 1, table)
-        return Summaries(present + lo, *(None if c is None else c[present] for c in merged))
+        lo, row = 0, table.gid
+        if sizes is None:  # a map task's rows: group them here
+            lo, row, sizes = _span(row)
+        present = np.flatnonzero(sizes)
+        merged = self._merge(row, len(sizes), table)
+        if len(present) < len(sizes):  # some slot is empty: keep the others
+            merged = (None if c is None else c[present] for c in merged)
+        return Summaries(present + lo, *merged)
 
     def _merge(self, row: np.ndarray, size: int, table: Summaries):
         """The merged (aggregate, count, ext) columns of a table, indexed by
@@ -311,8 +316,9 @@ class Median(Aggregator):
 
     The vector reduce gives statistics.median of each group, bit for bit.
     It puts the rows in group order once (group_order, stable, so each
-    group's values keep their input order) and takes the group sizes from
-    one np.bincount. Then _middles sorts all groups of one size as the rows
+    group's values keep their input order; the shuffle's slots are compact
+    ids, which sort as uint16 up to 2**16 groups) and reads the group sizes
+    the shuffle counted. Then _middles sorts all groups of one size as the rows
     of one 2-D block with numpy's default sort: one np.sort per distinct
     size, not per group. That sort is not stable, and among equal floats
     only -0.0 and 0.0 differ, so in a column that holds both, a group whose
@@ -338,15 +344,16 @@ class Median(Aggregator):
             _check_value(v)
         return statistics.median(values)
 
-    def holistic_results(self, gids: np.ndarray, values: np.ndarray) -> list:
+    def holistic_results(self, gids: np.ndarray, values: np.ndarray, sizes=None) -> list:
         """statistics.median of each group, by ascending id (see the class
         docstring)."""
         _reject_nan(gids, values)
         if not len(gids):
             return []
+        if sizes is None:
+            _, gids, sizes = _span(gids)
         values = values[group_order(gids)]
-        sizes = np.bincount(gids - gids.min())
-        n = sizes[np.flatnonzero(sizes)]
+        n = sizes[sizes > 0]
         starts = np.cumsum(n) - n
         lower, upper = _middles(values, starts, n)
         if values.dtype != np.float64:  # exact in Python ints, no int64 overflow

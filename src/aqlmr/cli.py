@@ -153,7 +153,8 @@ def _finite_json(value):
 
 
 def _write_report(path: str, doc: dict) -> None:
-    Path(path).write_text(json.dumps(_finite_json(doc), indent=2, allow_nan=False) + "\n")
+    # compact: with indent, json.dumps falls back to its pure-Python encoder
+    Path(path).write_text(json.dumps(_finite_json(doc), allow_nan=False) + "\n")
     print(f"report: {path}")
 
 

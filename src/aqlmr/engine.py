@@ -4,6 +4,10 @@ A job runs as one serial pass over whole columns: every split is mapped in
 split order, the shuffle concatenates the map outputs in that order, and the
 reduce folds every group at once, adding rows into each group in
 (split, emission) order, so results are the same from run to run.
+The shuffle groups the rows once: it turns their group ids into slots (id
+minus the smallest id) and counts the rows of each slot with one bincount.
+Every reducer reads that grouping (the slots and their sizes) and groups
+nothing again.
 run_job still accepts and validates a ``workers`` count, so callers written
 for a parallel engine keep working, but it does not change execution: results
 and counters are the same for any value.
@@ -23,13 +27,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .aggregates import (
-    AggregateError,
-    Aggregator,
-    Summaries,
-    group_bounds,
-    group_ids,
-)
+from .aggregates import AggregateError, Aggregator, Summaries, group_order
 from .grouping import Membership, build_membership
 from .planner import JobPlan
 from .storage import ArraySplit, StoreError, compute_splits, read_block, read_blocks
@@ -156,26 +154,26 @@ def optimized_map(
 
 @dataclass
 class Shuffled:
-    """The shuffle's output: every map output row (Pairs or Summaries) in
-    (split, emission) order, and the distinct group ids they reach,
-    ascending. Reducing needs no sort (group sums accumulate in row order),
-    so rows are grouped only when iterated: that yields (gid, items) for
-    each group by ascending id, items being raw values (naive) or AggSummary
-    objects (optimized) in (split, emission) order."""
+    """The shuffle's output, grouped once: every map output row (Pairs or
+    Summaries) in (split, emission) order, with its group id turned into a
+    slot (``gid - lo``, ``lo`` the smallest id), and ``sizes[s]``, the rows
+    in slot s. Reducing needs no sort (group sums accumulate in row order),
+    so rows are put in group order only when iterated: that yields (gid,
+    items) for each group by ascending id, items being raw values (naive)
+    or AggSummary objects (optimized) in (split, emission) order."""
 
     rows: Pairs | Summaries
-    ids: np.ndarray
+    lo: int
+    sizes: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return int(np.count_nonzero(self.sizes))
 
     def __iter__(self):
-        rows = _take(self.rows, np.argsort(self.rows.gid, kind="stable"))
-        items = rows.rows()
-        bounds = group_bounds(rows.gid)
-        gids = rows.gid[bounds[:-1]].tolist()
-        bounds = bounds.tolist()
-        for gid, lo, hi in zip(gids, bounds, bounds[1:]):
+        items = _take(self.rows, group_order(self.rows.gid)).rows()
+        present = np.flatnonzero(self.sizes)
+        ends = np.cumsum(self.sizes[present]).tolist()
+        for gid, lo, hi in zip((present + self.lo).tolist(), [0, *ends], ends):
             yield gid, items[lo:hi]
 
 
@@ -192,7 +190,9 @@ def shuffle(
     """
     rows = _concat(map_outputs)
     counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(rows))
-    grouped = Shuffled(rows, group_ids(rows.gid))
+    lo = int(rows.gid.min()) if len(rows) else 0
+    rows.gid -= lo  # the concatenation is the shuffle's own copy
+    grouped = Shuffled(rows, lo, np.bincount(rows.gid))
     counters.add("shuffle_groups", len(grouped))
     return grouped
 
@@ -218,26 +218,42 @@ def summary_value_bytes(agg: Aggregator) -> int:
     return SUMMARY_EXT_BYTES if agg.uses_ext else SUMMARY_BYTES
 
 
-def _reduce(
-    rows: Pairs | Summaries, ids: np.ndarray | None, agg: Aggregator
-) -> tuple[np.ndarray, list]:
-    """Every group's result at once: (group ids, results). ``ids``, the
-    rows' distinct group ids as the shuffle found them, serve a holistic
-    aggregator only."""
+def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list:
+    """The result of every slot some row reaches, by ascending slot."""
     if isinstance(rows, Summaries):
-        merged = agg.merge_groups(rows)
-        return merged.gid, agg.group_results(merged)
+        return agg.group_results(agg.merge_groups(rows, sizes))
     if agg.algebraic:
         try:
-            folded = agg.fold_groups(rows.gid, rows.value)
+            folded = agg.fold_groups(rows.gid, rows.value, sizes)
         except AggregateError:
             # a reducer folds group by group and meets the lowest group's bad
             # value first: fold again in stable group order to raise that one
-            order = np.argsort(rows.gid, kind="stable")
-            agg.fold_groups(rows.gid[order], rows.value[order])
+            order = group_order(rows.gid)
+            agg.fold_groups(rows.gid[order], rows.value[order], sizes)
             raise
-        return folded.gid, agg.group_results(folded)
-    return ids, agg.holistic_results(rows.gid, rows.value)
+        return agg.group_results(folded)
+    return agg.holistic_results(rows.gid, rows.value, sizes)
+
+
+def _place(results: list, lo: int, sizes: np.ndarray, group_count: int) -> list:
+    """Every group's result by group id, None where no row reached it:
+    ``results`` are those of the slots that ``sizes`` counts rows in, and
+    slot s is group lo + s. The list is spliced from slices of ``results``
+    and runs of None, one per run of empty groups, so each value keeps its
+    type."""
+    if len(results) == group_count:
+        return results  # every group has a result, in group order
+    full = sizes > 0  # the first and last slots are full
+    edges = np.flatnonzero(full[1:] != full[:-1]) + 1
+    starts, gaps = edges[::2], edges[1::2] - edges[::2]  # the runs of empty slots
+    cuts = (starts - np.cumsum(gaps) + gaps).tolist()  # where each run falls in results
+    values = [None] * lo
+    for first, last, gap in zip(
+        [0, *cuts], [*cuts, len(results)], [*gaps.tolist(), group_count - lo - len(sizes)]
+    ):
+        values += results[first:last]
+        values += [None] * gap
+    return values
 
 
 def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
@@ -273,29 +289,23 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
 
     value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
     grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
-    rows, ids = grouped.rows, grouped.ids
+    rows, lo, sizes = grouped.rows, grouped.lo, grouped.sizes
     del map_outputs, grouped  # the shuffled rows are a copy
     t2 = time.perf_counter()
 
     group_count = plan.geometry.group_count
     counters.add("reduce_input_records", len(rows))
-    values: list[float | int | None] = [None] * group_count
     if len(rows):
-        if not (0 <= ids[0] and ids[-1] < group_count):
+        if not (0 <= lo and lo + len(sizes) <= group_count):
             raise EngineError(f"group id outside geometry (0..{group_count - 1})")
-        if agg.algebraic:
-            ids = None  # the merge finds its groups itself: free these before it
         try:
-            gids, results = _reduce(rows, ids, agg)
-        except AggregateError as exc:
-            where = "reduce" if exc.group is None else f"reduce (group {exc.group})"
+            results = _reduce(rows, sizes, agg)
+        except AggregateError as exc:  # a reducer names its group by slot
+            where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
             raise EngineError(f"{where}: {exc}") from exc
-        if len(results) == group_count:
-            values = results  # every group has a result, in group order
-        else:
-            scattered = np.full(group_count, None, object)
-            scattered[gids] = np.fromiter(results, object, len(results))  # each as it is
-            values = scattered.tolist()
+        values = _place(results, lo, sizes, group_count)
+    else:
+        values = [None] * group_count
     t3 = time.perf_counter()
 
     return JobResult(

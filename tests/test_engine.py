@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aqlmr.engine as engine
 from aqlmr import (
     EngineError,
     analyze,
@@ -387,6 +388,62 @@ def test_where_mask_is_exact_near_the_float_and_int64_edges(cells, conjuncts):
     keeps the cells the oracle's exact comparison keeps."""
     predicate = ValuePredicate(tuple(Comparison("val", op, c) for op, c in conjuncts))
     assert cells[predicate.mask(cells)].tolist() == apply_predicate(cells, conjuncts).tolist()
+
+
+# the groups of a 12-cell array in blocks of 2 that a filter empties
+EMPTY_GROUPS = {"first": (0,), "middle": (2, 3), "last": (5,), "all but one": (0, 1, 3, 4, 5)}
+
+
+class TestEmptyGroups:
+    @pytest.mark.parametrize("empty", list(EMPTY_GROUPS))
+    @pytest.mark.parametrize("element_type", ["float64", "int64"])
+    @pytest.mark.parametrize("mode", ["naive", "optimized"])
+    def test_each_value_keeps_its_type(self, array_factory, mode, element_type, empty):
+        """Groups no row reaches are None wherever they fall, and every
+        other group equals the oracle by repr and type: int64 results are
+        Python ints, exact where a sum passes 2**53 and overflows int64."""
+        if element_type == "int64":
+            values, dropped = 2**62 + 3 * np.arange(12, dtype=np.int64), -1
+        else:
+            values, dropped = np.arange(12) / 4 + 0.25, -1.0
+        for g in EMPTY_GROUPS[empty]:
+            values[2 * g : 2 * g + 2] = dropped
+        values[7] = dropped  # and one group loses half its cells
+        built = array_factory(extents=(12,), chunks=(5,), element_type=element_type, values=values)
+        predicate = [("<>", dropped)]
+        groups = group_value_lists(
+            values, (0,), (11,), "grid", partitions=(2,), predicate=predicate
+        )
+        for agg in ("sum", "count", "avg", "min", "max"):
+            text = f"select {agg}(val) from A where val <> {dropped!r} grid as (partition by x 2)"
+            got = run_query(built, text, mode).values
+            want = expected_results(agg, groups)
+            assert [(repr(v), type(v)) for v in got] == [(repr(v), type(v)) for v in want], text
+
+    @pytest.mark.parametrize("mode", ["naive", "optimized"])
+    def test_group_ids_outside_the_geometry_fail(self, array_factory, monkeypatch, mode):
+        """A membership that emits id -1, or id group_count, fails the job
+        with the range error in both modes."""
+        built = array_factory(extents=(8, 8), chunks=(4, 4))
+        text = "select sum(val) from A grid as (partition by x 4, y 4)"
+        job = plan(analyze(parse(text), built.catalog), mode)
+        real_membership = engine.build_membership
+        for bad in (-1, job.geometry.group_count):
+
+            def bad_membership(geometry, bad=bad):
+                membership = real_membership(geometry)
+                block = membership.block
+
+                def shifted(region, keep=None):  # group 0 becomes ``bad``
+                    cells, gids = block(region, keep)
+                    return cells, np.where(gids == 0, bad, gids)
+
+                membership.block = shifted
+                return membership
+
+            monkeypatch.setattr(engine, "build_membership", bad_membership)
+            with pytest.raises(EngineError, match=r"^group id outside geometry \(0\.\.3\)$"):
+                run_job(job)
 
 
 class TestDeterminism:
