@@ -235,27 +235,6 @@ def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list
     return agg.holistic_results(rows.gid, rows.value, sizes)
 
 
-def _place(results: list, lo: int, sizes: np.ndarray, group_count: int) -> list:
-    """Every group's result by group id, None where no row reached it:
-    ``results`` are those of the slots that ``sizes`` counts rows in, and
-    slot s is group lo + s. The list is spliced from slices of ``results``
-    and runs of None, one per run of empty groups, so each value keeps its
-    type."""
-    if len(results) == group_count:
-        return results  # every group has a result, in group order
-    full = sizes > 0  # the first and last slots are full
-    edges = np.flatnonzero(full[1:] != full[:-1]) + 1
-    starts, gaps = edges[::2], edges[1::2] - edges[::2]  # the runs of empty slots
-    cuts = (starts - np.cumsum(gaps) + gaps).tolist()  # where each run falls in results
-    values = [None] * lo
-    for first, last, gap in zip(
-        [0, *cuts], [*cuts, len(results)], [*gaps.tolist(), group_count - lo - len(sizes)]
-    ):
-        values += results[first:last]
-        values += [None] * gap
-    return values
-
-
 def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     agg = plan.query.agg
     if plan.mode == "optimized" and not agg.algebraic:
@@ -303,7 +282,12 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
         except AggregateError as exc:  # a reducer names its group by slot
             where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
             raise EngineError(f"{where}: {exc}") from exc
-        values = _place(results, lo, sizes, group_count)
+        if len(results) == group_count:
+            values = results  # every group has a result, in group order
+        else:
+            scattered = np.full(group_count, None, object)
+            scattered[lo + np.flatnonzero(sizes)] = np.fromiter(results, object, len(results))
+            values = scattered.tolist()  # each as it is
     else:
         values = [None] * group_count
     t3 = time.perf_counter()

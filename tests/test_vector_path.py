@@ -404,6 +404,41 @@ def test_custom_aggregators_use_their_scalar_hooks(tmp_path, monkeypatch, mode, 
             assert got == want and type(got) is type(want), f"{text} ({mode}) group {gid}"
 
 
+def test_reduce_hooks_without_sizes_raise_type_error(tmp_path):
+    """The reduce passes the shuffle's ``sizes`` to merge_groups and
+    holistic_results, so an override written without that argument fails
+    with Python's TypeError, as the README says."""
+
+    class OldMerge(Aggregator):
+        name = "oldmerge"
+
+        def update_in_map(self, summary, value):
+            summary.count += 1
+            return summary
+
+        def merge_groups(self, table):
+            return super().merge_groups(table)
+
+    class OldHolistic(Distinct):
+        name = "oldholistic"
+
+        def holistic_results(self, gids, values):
+            return super().holistic_results(gids, values)
+
+    registry = AggregatorRegistry()
+    registry.register(OldMerge())
+    registry.register(OldHolistic())
+    built = build_array(tmp_path, extents=(6, 6), chunks=(3, 3))
+    for name, mode, hook in [
+        ("oldmerge", "optimized", r"merge_groups\(\) takes 2 positional arguments but 3"),
+        ("oldholistic", "naive", r"holistic_results\(\) takes 3 positional arguments but 4"),
+    ]:
+        text = f"select {name}(val) from A grid as (partition by x 3, y 3)"
+        job = plan(analyze(parse(text), built.catalog, registry), mode)
+        with pytest.raises(TypeError, match=hook):
+            run_job(job)
+
+
 @pytest.mark.parametrize("element_type", ["float64", "int64"])
 @pytest.mark.parametrize("mode", ["naive", "optimized"])
 def test_builtins_never_take_the_scalar_loop(tmp_path, monkeypatch, mode, element_type):
