@@ -23,9 +23,9 @@ loop, so an aggregator that defines only the scalar hooks runs in both
 modes. Only custom aggregators take that loop: the built-ins
 (builtin_aggregates.py) override the vector hooks with numpy, derived from
 the ``combine`` kind a built-in declares (sum, count, minimum or maximum),
-which also lets the optimized sliding map compute every window's summary
-with a kernel (window_aggregate, called by grouping's sliding fold) instead
-of fold_groups.
+which also lets the optimized sliding and grid maps compute every window's
+or block's summary with a kernel (window_aggregate, called by grouping's
+sliding fold and grid band fold) instead of fold_groups.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ class Aggregator:
     # built-ins only (builtin_aggregates._Columnar): the summary's merge
     # law, "sum", "min" or "max" of the lifted values with their count, or
     # "count" alone; the scalar merge, the column merge and window_aggregate,
-    # which the optimized sliding map calls, all follow it. None: the
-    # aggregator merges by its own hooks, and sliding windows fold pairs
+    # which the optimized sliding and grid maps call, all follow it. None: the
+    # aggregator merges by its own hooks, and windows and grids fold pairs
     combine: str | None = None
 
     def identity(self) -> AggSummary:

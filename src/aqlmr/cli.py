@@ -26,7 +26,7 @@ from .aggregates import AggregateError
 from .engine import EngineError, run_job
 from .frontend import ParseError, SemanticError, analyze, explain, parse
 from .frontend.parser import parse_int
-from .grouping import group_extent
+from .grouping import group_extent_texts
 from .planner import (
     ConfigError,
     PlanError,
@@ -163,9 +163,9 @@ def _print_run(result, geom) -> None:
     print(f"groups: {geom.group_count}")
     print(f"non-empty: {non_empty}")
     if geom.group_count <= 32:
-        for gid, value in enumerate(result.values):
+        for gid, (extent, value) in enumerate(zip(group_extent_texts(geom), result.values)):
             text = "null" if value is None else repr(value)
-            print(f"group {gid} {group_extent(gid, geom)}: {text}")
+            print(f"group {gid} {extent}: {text}")
     for name, count in result.counters.snapshot().items():
         print(f"{name}: {count}")
     print(f"wall time: {result.timings['total']:.3f}s")
@@ -190,12 +190,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "mode": job.mode,
             "group_count": job.geometry.group_count,
             "groups": [
-                {
-                    "id": gid,
-                    "extent": str(group_extent(gid, job.geometry)),
-                    "value": value,
-                }
-                for gid, value in enumerate(result.values)
+                {"id": gid, "extent": extent, "value": value}
+                for gid, (extent, value) in enumerate(
+                    zip(group_extent_texts(job.geometry), result.values)
+                )
             ],
             "counters": result.counters.snapshot(),
             "timings": result.timings,

@@ -1,9 +1,10 @@
 """Embedded map/shuffle/reduce executor for planned jobs.
 
-A job runs as one serial pass over whole columns: every split is mapped in
-split order, the shuffle concatenates the map outputs in that order, and the
-reduce folds every group at once, adding rows into each group in
-(split, emission) order, so results are the same from run to run.
+A job runs as one serial pass over whole columns: the splits are read and
+mapped a band at a time (storage.read_bands), in split order, the shuffle
+concatenates the map outputs in that order, and the reduce folds every
+group at once, adding rows into each group in (split, emission) order, so
+results are the same from run to run.
 The shuffle groups the rows once: it turns their group ids into slots (id
 minus the smallest id) and counts the rows of each slot with one bincount.
 Every reducer reads that grouping (the slots and their sizes) and groups
@@ -30,7 +31,7 @@ import numpy as np
 from .aggregates import AggregateError, Aggregator, Summaries, group_order
 from .grouping import Membership, build_membership
 from .planner import JobPlan
-from .storage import ArraySplit, StoreError, compute_splits, read_block, read_blocks
+from .storage import ArraySplit, Band, StoreError, compute_splits, read_bands, read_block
 
 KEY_BYTES = 8
 RAW_VALUE_BYTES = 8
@@ -127,6 +128,29 @@ def _map_block(
         out = membership.fold(split.region, block, keep, agg)
     counters.add("map_output_records", len(out))
     return out
+
+
+def _task_error(split: ArraySplit, exc: Exception) -> EngineError:
+    return EngineError(f"map task (split {split.split_id}): {exc}")
+
+
+def _map_band(
+    band: Band, membership: Membership, agg: Aggregator | None, counters: Counters
+) -> list[Pairs | Summaries]:
+    """The map tasks of a band's splits: the membership's band fold where it
+    gives one (optimized), which holds every split's rows in split order,
+    else each split's own task on its block."""
+    folded = None if agg is None else membership.fold_band(band, agg)
+    if folded is not None:
+        counters.add("map_output_records", len(folded))
+        return [folded]
+    outputs = []
+    for split, block, keep in band.blocks():
+        try:
+            outputs.append(_map_block(split, block, keep, membership, agg, counters))
+        except AggregateError as exc:
+            raise _task_error(split, exc) from exc
+    return outputs
 
 
 def naive_map(
@@ -256,14 +280,16 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     t0 = time.perf_counter()
     map_agg = agg if plan.mode == "optimized" else None
     map_outputs = []
+    mapped = 0  # splits mapped so far: a failed read names the next one
     # closed at once when a map task raises, not when its traceback is freed
-    with closing(read_blocks(splits, plan.query.predicate, counters)) as blocks:
-        for split in splits:
-            try:  # no name holds the last block through the shuffle and reduce
-                out = _map_block(split, *next(blocks), membership, map_agg, counters)
-            except (AggregateError, StoreError) as exc:
-                raise EngineError(f"map task (split {split.split_id}): {exc}") from exc
-            map_outputs.append(out)
+    with closing(read_bands(splits, plan.query.predicate, counters)) as bands:
+        try:
+            for band in bands:
+                map_outputs += _map_band(band, membership, map_agg, counters)
+                mapped += len(band.splits)
+                del band  # before the next band is read, and through the reduce
+        except StoreError as exc:
+            raise _task_error(splits[mapped], exc) from exc
     t1 = time.perf_counter()
 
     value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)

@@ -16,10 +16,13 @@ Four kinds of geometry over a query box:
 A grid block of side p is the tumbling window (0 preceding, p - 1 following,
 stride p), so grids and sliding windows share one window lattice, which
 make_geometry derives once and group counts, extents and both memberships
-read. The memberships stay apart: sent through the sliding window table,
-grids made run_job's CPU time on a filtered SUM over 32x32 blocks of a
-1024x1024 array rise from 28 to 98 ms (the masked window fill), and
-pair-folded grids (STDDEV, MEDIAN, naive AVG) 20-50% slower.
+read. The memberships stay apart because a grid's blocks do not overlap:
+its pairs are one floor division per dimension, and its optimized map folds
+a whole band (side-by-side splits read as one array) at once. The band is
+cut into pieces, one per (split, block), and one ufunc.reduceat per
+dimension combines every piece: about a dozen numpy calls a band where the
+split-by-split pair fold made some 25 a split, which took run_job on a
+filtered SUM over 32x32 blocks of a 1024x1024 array from 26 to 10 ms.
 
 Ring radii grow from an initial radius by a fixed step until a ring reaches
 the box boundary (the largest radius whose full extent still fits: the
@@ -31,10 +34,11 @@ region at a time (the engine's map), from per-dimension index ranges
 broadcast over the region: no per-cell Python work. One cell (groups_of) is
 the one-cell region.
 
-The optimized map folds a region through Membership.fold, which by default
-folds those (cell, group) pairs. Sliding windows derive, once per region, a
-table of the windows that reach it; the pairs come from it, and for the
-built-ins that declare a combine kind so does the fold: the aggregator's
+The optimized map folds a band through Membership.fold_band, which grids
+override, or else each split's region through Membership.fold, which by
+default folds those (cell, group) pairs. Sliding windows derive, once per
+region, a table of the windows that reach it; the pairs come from it, and
+for the built-ins that declare a combine kind so does the fold: the aggregator's
 window_aggregate combines each window's cells with _slide, one shifted
 in-place ufunc call per window offset and dimension, so the work per cell
 grows with the window's width and not with its area. Nothing is subtracted,
@@ -43,11 +47,12 @@ so a huge or infinite cell reaches only the windows that hold it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
 from math import isqrt, prod
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -56,6 +61,7 @@ from .storage import BoundingBox
 
 if TYPE_CHECKING:
     from .aggregates import Aggregator
+    from .storage import Band
     from .frontend.semantic import QueryObject
 
 
@@ -204,9 +210,18 @@ class Membership:
         self, region: BoundingBox, block: np.ndarray, keep: np.ndarray | None, agg: "Aggregator"
     ) -> Summaries:
         """``agg``'s summary of every group the kept cells of ``block`` (the
-        region's values) reach, by ascending group id."""
+        region's values) reach, by ascending group id. A kernel may
+        overwrite the cells of ``block`` that ``keep`` drops."""
         cells, gids = self.block(region, keep)
         return agg.fold_groups(gids, block.ravel()[cells])
+
+    def fold_band(self, band: "Band", agg: "Aggregator") -> Summaries | None:
+        """``agg``'s summaries of every split of the band at once: each
+        split's fold rows, split after split. None (the default) when the
+        membership has no such kernel or it would not give those rows; the
+        engine then folds split by split. A kernel may overwrite the band's
+        dropped cells, which no fold reads."""
+        return None
 
 
 class _Windows(Membership):
@@ -272,7 +287,7 @@ class _Windows(Membership):
         if keep is None:  # every window holds all its cells
             counts = reduce(np.multiply, np.ix_(*(count for _, _, count, _ in axes)), np.ones(()))
             return Summaries(gids, aggregate, counts.ravel())
-        counts = slide(np.where(keep, 1.0, 0.0), np.add, 0.0).ravel()
+        counts = slide(keep.astype(np.float64), np.add, 0.0).ravel()
         seen = np.flatnonzero(counts)
         return Summaries(gids[seen], aggregate[seen], counts[seen])
 
@@ -293,6 +308,76 @@ def _slide(values: np.ndarray, ufunc, start, axes) -> np.ndarray:
     return values
 
 
+class _Grid(Membership):
+    """Grid membership. A cell's block, per dimension, is its offset from
+    the box's low edge floor-divided by the block side. For the built-ins
+    that declare a combine kind, the band fold cuts a band into pieces, one
+    per (split, block), and combines each piece's cells with one
+    ufunc.reduceat per dimension (the aggregator's window_aggregate, given
+    _reduce_pieces as its slide): each piece is one row of the split's fold,
+    and the rows go split by split, by ascending id, those of empty pieces
+    dropped."""
+
+    def __init__(self, box: BoundingBox, lattice: tuple[WindowAxis, ...]) -> None:
+        super().__init__(box, self._pairs)
+        self._lattice = lattice
+        self._counts = [w.count for w in lattice]
+        self._cells = prod(w.stride for w in lattice)  # the most cells a block holds
+
+    def _pairs(self, region: BoundingBox, keep):
+        axes = [
+            _floor_div(a - l, b - l, w.stride)
+            for a, b, l, w in zip(region.lo, region.hi, self._box.lo, self._lattice)
+        ]
+        cells = _kept(region, keep)
+        return cells, _ravel(axes, self._counts)[cells]
+
+    def fold_band(self, band, agg):
+        if agg.combine is None:
+            return None
+        lo, hi = band.splits[0].region.lo, band.splits[-1].region.hi
+        # per dimension, the lattice index of each piece's block and the
+        # piece's first cell, as an index into the band
+        blocks, starts = [], []
+        for a, b, l, w in zip(lo, hi, self._box.lo, self._lattice):
+            a, b, s = a - l, b - l, w.stride
+            blocks.append(range(a // s, b // s + 1))
+            starts.append([max(k * s - a, 0) for k in blocks[-1]])
+        # along the last dimension the splits' edges cut pieces too
+        edges = [split.region.lo[-1] - lo[-1] for split in band.splits]
+        shift, s = lo[-1] - self._box.lo[-1], self._lattice[-1].stride
+        starts[-1] = sorted(set(starts[-1]).union(edges))
+        blocks[-1] = [(i + shift) // s for i in starts[-1]]
+        slide = partial(_reduce_pieces, starts=starts)
+        aggregate = agg.window_aggregate(band.data, band.keep, self._cells, slide)
+        if aggregate is None:
+            return None
+        gids = _ravel(blocks, self._counts)
+        if band.keep is None:  # every piece holds all its cells
+            sizes = [np.diff(np.array([*i, n], np.float64)) for i, n in zip(starts, band.data.shape)]
+            counts = reduce(np.multiply.outer, sizes).ravel()
+        else:  # the mask's bytes, in int32 along rows (none holds 2**31 cells)
+            rows = np.add.reduceat(band.keep.view(np.int8), starts[-1], axis=-1, dtype=np.int32)
+            counts = _reduce_pieces(rows.astype(np.float64), np.add, 0.0, starts[:-1]).ravel()
+        # split by split, each in row-major order, which is ascending id
+        cuts = [bisect_left(starts[-1], i) for i in edges] + [len(starts[-1])]
+        pieces = np.arange(counts.size).reshape(-1, len(starts[-1]))
+        order = np.concatenate([pieces[:, i:j].ravel() for i, j in zip(cuts, cuts[1:])])
+        if band.keep is not None:  # only the pieces some kept cell reaches
+            order = order[np.flatnonzero(counts[order])]
+        return Summaries(gids[order], aggregate[order], counts[order])
+
+
+def _reduce_pieces(values: np.ndarray, ufunc, start, starts: list[list[int]]) -> np.ndarray:
+    """``ufunc`` over the cells of each piece, from ``start``: along each
+    leading dimension that ``starts`` has a list for, pieces begin at the
+    indices it holds. The last of them goes first: along the last
+    dimension, cells lie next to each other."""
+    for axis in range(len(starts) - 1, -1, -1):
+        values = ufunc.reduceat(values, starts[axis], axis=axis)
+    return ufunc(values, start, out=values)
+
+
 def _floor_div(a: int, b: int, d: int) -> np.ndarray:
     """x // d for every integer x from a to b, as runs of equal quotients."""
     first, last = a // d, b // d
@@ -301,11 +386,11 @@ def _floor_div(a: int, b: int, d: int) -> np.ndarray:
     return np.repeat(np.arange(first, last + 1), np.diff(edges))
 
 
-def _ravel(axes: list[np.ndarray], counts) -> np.ndarray:
+def _ravel(axes: list, counts) -> np.ndarray:
     """Row-major ids over every combination of the per-dimension indices."""
     ids = np.zeros((), np.int64)
-    for a, n in zip(np.ix_(*axes), counts):
-        ids = ids * n + a
+    for a, n in zip(axes, counts):
+        ids = np.add.outer(ids * n, a)
     return ids.ravel()
 
 
@@ -379,17 +464,7 @@ def build_membership(geom: GroupGeometry) -> Membership:
         return Membership(box, partial(_ring_pairs, geom))
     if geom.kind == "sliding":
         return _Windows(box, lattice)
-    counts = [w.count for w in lattice]
-
-    def grid_block(region: BoundingBox, keep):
-        axes = [
-            _floor_div(a - l, b - l, w.stride)
-            for a, b, l, w in zip(region.lo, region.hi, box.lo, lattice)
-        ]
-        cells = _kept(region, keep)
-        return cells, _ravel(axes, counts)[cells]
-
-    return Membership(box, grid_block)
+    return _Grid(box, lattice)
 
 
 def group_extent(gid: int, geom: GroupGeometry) -> BoundingBox | RingExtent:
@@ -414,3 +489,20 @@ def group_extent(gid: int, geom: GroupGeometry) -> BoundingBox | RingExtent:
     else:
         inner = params.radius0 + (gid - 1) * params.step
     return RingExtent(inner, outer)
+
+
+def group_extent_texts(geom: GroupGeometry) -> Iterator[str]:
+    """``str(group_extent(gid, geom))`` for every group, by ascending id. A
+    lattice's window bounds are formatted once per dimension and window,
+    and the texts of all but the last dimension joined once per prefix:
+    ids count row-major, the last dimension fastest."""
+    if geom.lattice is None:
+        return (str(group_extent(gid, geom)) for gid in range(geom.group_count))
+    *outer, last = (
+        [(str(max(l, c - p)), str(min(h, c + f))) for c in range(l, l + n * s, s)]
+        for l, h, (p, f, s, n) in zip(geom.box.lo, geom.box.hi, geom.lattice)
+    )
+    prefixes = [("", "")]
+    for bounds in outer:
+        prefixes = [(a + lo + ",", b + hi + ",") for a, b in prefixes for lo, hi in bounds]
+    return (f"({a}{lo})-({b}{hi})" for a, b in prefixes for lo, hi in last)

@@ -10,9 +10,10 @@ along the last dimension, up to BAND_BYTES of the box's rows, each band with
 one positioned read per run of rows that lie next to each other in the file.
 The data file is opened and its size checked against the metadata once per
 job, and every read checks that it got all its bytes. The value filter is
-applied to each block at once. read_blocks yields each split's block and the
-filter's mask, for the engine; read_block reads one split; read_split yields
-the kept cells one record at a time.
+applied to each band at once. read_bands yields each band with the
+filter's mask over it, for the engine; read_blocks cuts each split's block
+and mask from the bands; read_block reads one split; read_split yields the
+kept cells one record at a time.
 """
 
 from __future__ import annotations
@@ -425,20 +426,43 @@ def _read_box(fd: int, path: Path, schema: ArraySchema, box: BoundingBox) -> np.
     return block
 
 
-def read_blocks(
+@dataclass
+class Band:
+    """Splits side by side along the last dimension (see _bands), read as
+    one n-d array, and the predicate's mask over it (None without one)."""
+
+    splits: list[ArraySplit]
+    data: np.ndarray
+    keep: np.ndarray | None
+
+    def blocks(self) -> Iterator[tuple[ArraySplit, np.ndarray, np.ndarray | None]]:
+        """Each split with its block and mask, in split order: contiguous
+        copies of their slices of the band (the band itself for a band of
+        one split)."""
+        if len(self.splits) == 1:
+            yield self.splits[0], self.data, self.keep
+            return
+        first = self.splits[0].region.lo[-1]
+        for split in self.splits:
+            a = split.region.lo[-1] - first
+            at = (..., slice(a, a + split.region.shape[-1]))
+            yield split, self.data[at].copy(), None if self.keep is None else self.keep[at].copy()
+
+
+def read_bands(
     splits: Sequence[ArraySplit],
     predicate: ValuePredicate | None = None,
     counters: "Counters | None" = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Each split's region as an n-d array, and the predicate's mask over it
-    (None without a predicate), in split order.
+) -> Iterator[Band]:
+    """The splits' bands (see _bands) in split order, each read with one
+    positioned read per run of adjacent rows and masked by the predicate at
+    once.
 
     The splits are those of one array, as compute_splits makes them. The
     data file is opened, and its size checked against the metadata, before
-    the first read. Splits are read a band at a time (see _bands), and each
-    split's block is a contiguous copy of its slice of the band; only one
-    band is held at once. Close the iterator to close the file before it is
-    exhausted.
+    the first read; only one band is held at once, provided the caller
+    drops each band before asking for the next. Close the iterator to close
+    the file before it is exhausted.
 
     bytes_read counts every byte of the region regardless of the predicate;
     map_input_records counts only the cells the mask keeps.
@@ -459,23 +483,32 @@ def read_blocks(
                 "expected: data file does not match metadata"
             )
         for band in _bands(splits):
-            lo = band[0].region.lo
-            data = _read_box(fd, path, schema, BoundingBox(lo, band[-1].region.hi))
-            for split in band:
-                if len(band) == 1:
-                    block = data
-                else:
-                    a = split.region.lo[-1] - lo[-1]
-                    block = data[..., a : a + split.region.shape[-1]].copy()
-                keep = None if predicate is None else predicate.mask(block)
-                if counters is not None:
-                    counters.add("bytes_read", block.nbytes)
-                    counters.add(
-                        "map_input_records",
-                        block.size if keep is None else int(np.count_nonzero(keep)),
-                    )
+            data = _read_box(fd, path, schema, BoundingBox(band[0].region.lo, band[-1].region.hi))
+            keep = None if predicate is None else predicate.mask(data)
+            if counters is not None:
+                counters.add("bytes_read", data.nbytes)
+                counters.add(
+                    "map_input_records", data.size if keep is None else int(np.count_nonzero(keep))
+                )
+            yield Band(band, data, keep)
+            del data, keep  # before the next band is read
+
+
+def read_blocks(
+    splits: Sequence[ArraySplit],
+    predicate: ValuePredicate | None = None,
+    counters: "Counters | None" = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Each split's region as an n-d array, and the predicate's mask over it
+    (None without a predicate), in split order, cut from the bands
+    read_bands reads (see Band.blocks), with its counters. Close the
+    iterator to close the file before it is exhausted."""
+    with closing(read_bands(splits, predicate, counters)) as bands:
+        for band in bands:
+            blocks = band.blocks()
+            del band  # the blocks hold the band until its last block is cut
+            for _, block, keep in blocks:
                 yield block, keep
-            del data  # before the next band is read
 
 
 def read_block(

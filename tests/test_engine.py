@@ -423,7 +423,8 @@ class TestEmptyGroups:
     @pytest.mark.parametrize("mode", ["naive", "optimized"])
     def test_group_ids_outside_the_geometry_fail(self, array_factory, monkeypatch, mode):
         """A membership that emits id -1, or id group_count, fails the job
-        with the range error in both modes."""
+        with the range error in both modes: the naive map takes its ids from
+        block, the optimized grid map from fold_band."""
         built = array_factory(extents=(8, 8), chunks=(4, 4))
         text = "select sum(val) from A grid as (partition by x 4, y 4)"
         job = plan(analyze(parse(text), built.catalog), mode)
@@ -432,13 +433,18 @@ class TestEmptyGroups:
 
             def bad_membership(geometry, bad=bad):
                 membership = real_membership(geometry)
-                block = membership.block
+                block, fold_band = membership.block, membership.fold_band
 
                 def shifted(region, keep=None):  # group 0 becomes ``bad``
                     cells, gids = block(region, keep)
                     return cells, np.where(gids == 0, bad, gids)
 
-                membership.block = shifted
+                def shifted_band(band, agg):
+                    out = fold_band(band, agg)
+                    out.gid = np.where(out.gid == 0, bad, out.gid)
+                    return out
+
+                membership.block, membership.fold_band = shifted, shifted_band
                 return membership
 
             monkeypatch.setattr(engine, "build_membership", bad_membership)

@@ -15,7 +15,7 @@ from aqlmr import (
     groups_of,
     make_geometry,
 )
-from aqlmr.grouping import RingExtent
+from aqlmr.grouping import RingExtent, group_extent_texts
 
 
 def box(lo, hi):
@@ -304,3 +304,33 @@ def test_box_extents_match_membership(geom):
                 assert d <= extent.outer + 1e-9
                 if geom.params.mode == "disjoint" and gid > 0:
                     assert d > extent.inner
+
+
+def _assert_extent_texts(geom):
+    texts = list(group_extent_texts(geom))
+    assert texts == [str(group_extent(g, geom)) for g in range(geom.group_count)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_geometry())
+def test_extent_texts_match_group_extent(geom):
+    """The report's extent strings are group_extent's, id by id."""
+    _assert_extent_texts(geom)
+
+
+@pytest.mark.parametrize(
+    "kind, b, params",
+    [
+        ("grid", box((3, -4), (12, 9)), GridParams((4, 5))),  # ragged, nonzero start
+        ("grid", box((0, 0), (7, 7)), GridParams((2**64, 3))),  # one block across x
+        ("sliding", box((-2, 5, 1), (9, 11, 4)), SlidingParams((2, 0, 1), (1, 3, 0), 3)),
+        ("sliding", box((1, 0), (20, 6)), SlidingParams((0, 5), (4, 0), 2)),
+        # a dimension past 2**63, whose bounds only Python ints hold
+        ("grid", box((2**63 - 3, -1), (2**63 + 6, 3)), GridParams((3, 2))),
+        ("sliding", box((2**64, 0), (2**64 + 9, 4)), SlidingParams((1, 0), (2, 1), 2)),
+        ("hierarchical", box((0, 0), (9, 9)), RingParams(1, 2, "nested")),
+        ("circular", box((-3, -3), (8, 6)), RingParams(0, 3, "disjoint")),
+    ],
+)
+def test_extent_texts_cover_strides_offsets_and_huge_dimensions(kind, b, params):
+    _assert_extent_texts(make_geometry(kind, b, params))
