@@ -14,18 +14,20 @@ ext slot.
 The engine works on whole columns through four vector hooks: fold_groups
 (update_in_map for every (group, value) pair of a map task), merge_groups
 (update_in_reduce for every summary row of the shuffle), group_results
-(get_agg_result per group) and holistic_results (holistic_result per
-group). A reducer's rows come grouped by the shuffle: their ids are slots
+(get_agg_result per group) and holistic_results (holistic_result per group).
+A reducer's rows come grouped by the shuffle: their ids are slots
 0..len(sizes)-1 and ``sizes``, passed to fold_groups, merge_groups and
 holistic_results, counts the rows of each slot, so a hook need not group
-them again. The base class derives each hook from the scalar hooks with a
-loop, so an aggregator that defines only the scalar hooks runs in both
-modes. Only custom aggregators take that loop: the built-ins
-(builtin_aggregates.py) override the vector hooks with numpy, derived from
-the ``combine`` kind a built-in declares (sum, count, minimum or maximum),
-which also lets the optimized sliding and grid maps compute every window's
-or block's summary with a kernel (window_aggregate, called by grouping's
-sliding fold and grid band fold) instead of fold_groups.
+them again. The rows of holistic_results come in slot order too (the shuffle
+merges the naive map's sorted runs, or the reduce sorts the rows once), so
+it reads each group as one slice of the values. The base class derives each
+hook from the scalar hooks with a loop, so an aggregator that defines only
+the scalar hooks runs in both modes. Only custom aggregators take that loop:
+the built-ins (builtin_aggregates.py) override the vector hooks with numpy,
+derived from the ``combine`` kind a built-in declares (sum, count, minimum
+or maximum), which also lets the optimized sliding and grid maps compute
+every window's or block's summary with a kernel (window_aggregate, called by
+grouping's sliding fold and grid band fold) instead of fold_groups.
 """
 
 from __future__ import annotations
@@ -95,14 +97,6 @@ def _counts(column: np.ndarray) -> list[int]:
 
 def _objects(items: list) -> np.ndarray:
     return np.fromiter(items, dtype=object, count=len(items))
-
-
-def group_bounds(gids: np.ndarray) -> np.ndarray:
-    """Where each run of equal ids starts in ``gids`` (sorted), then len(gids)."""
-    if not len(gids):
-        return np.zeros(1, np.int64)
-    inner = np.flatnonzero(np.diff(gids)) + 1
-    return np.concatenate(([0], inner, [len(gids)]))
 
 
 def group_order(gids: np.ndarray) -> np.ndarray:
@@ -191,16 +185,23 @@ class Aggregator:
         self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray | None = None
     ) -> list:
         """holistic_result of each group's values, in input order, for each
-        group by ascending id. ``sizes`` as for fold_groups."""
-        order = group_order(gids)
-        gids, vals = gids[order], values[order].tolist()
-        bounds = group_bounds(gids).tolist()
+        group by ascending id. With ``sizes``, the rows come grouped: the
+        ids are slots, by ascending slot, and sizes[s] rows hold slot s."""
+        lo = 0
+        if sizes is None:
+            if not len(gids):
+                return []
+            lo, gids, sizes = _span(gids)
+            values = values[group_order(gids)]
+        vals = values.tolist()
+        present = np.flatnonzero(sizes)
+        ends = np.cumsum(sizes[present]).tolist()
         out = []
-        for lo, hi in zip(bounds, bounds[1:]):
+        for gid, a, b in zip((present + lo).tolist(), [0, *ends], ends):
             try:
-                out.append(self.holistic_result(vals[lo:hi]))
+                out.append(self.holistic_result(vals[a:b]))
             except AggregateError as exc:
-                raise _in_group(exc, gids[lo])
+                raise _in_group(exc, gid)
         return out
 
 

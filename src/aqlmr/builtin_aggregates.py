@@ -348,15 +348,16 @@ class Median(Aggregator):
     """Holistic: needs every value, so it cannot be combined in the mapper.
 
     The vector reduce gives statistics.median of each group, bit for bit.
-    It puts the rows in group order once (group_order, stable, so each
-    group's values keep their input order; the shuffle's slots are compact
-    ids, which sort as uint16 up to 2**16 groups) and reads the group sizes
-    the shuffle counted. Then _middles sorts all groups of one size as the rows
-    of one 2-D block with numpy's default sort: one np.sort per distinct
-    size, not per group. That sort is not stable, and among equal floats
-    only -0.0 and 0.0 differ, so in a column that holds both, a group whose
-    middle value is a zero re-reads its middle values from a stable sort of
-    its input-ordered values, as sorted() does."""
+    Its rows come in group order, each group's values in input order (the
+    shuffle merges the map's sorted runs, or the engine sorts the rows once,
+    stably), with the group sizes the shuffle counted; without ``sizes`` it
+    groups them itself, by a stable group_order. Then _middles sorts all
+    groups of one size as the rows of one 2-D block with numpy's default
+    sort: one np.sort per distinct size, not per group. That sort is not
+    stable, and among equal floats only -0.0 and 0.0 differ, so in a column
+    that holds both, a group whose middle value is a zero re-reads its
+    middle values from a stable sort of its input-ordered values, as
+    sorted() does."""
 
     name = "median"
     algebraic = False
@@ -385,7 +386,7 @@ class Median(Aggregator):
             return []
         if sizes is None:
             _, gids, sizes = _span(gids)
-        values = values[group_order(gids)]
+            values = values[group_order(gids)]
         n = sizes[sizes > 0]
         starts = np.cumsum(n) - n
         lower, upper = _middles(values, starts, n)

@@ -140,21 +140,15 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _finite_json(value):
-    """``value`` with each non-finite float as the string "inf", "-inf" or
+def _finite(value):
+    """``value``, or for a non-finite float the string "inf", "-inf" or
     "nan", which strict JSON can hold."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _finite_json(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_finite_json(v) for v in value]
-    return value
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _write_report(path: str, doc: dict) -> None:
     # compact: with indent, json.dumps falls back to its pure-Python encoder
-    Path(path).write_text(json.dumps(_finite_json(doc), allow_nan=False) + "\n")
+    Path(path).write_text(json.dumps(doc, allow_nan=False) + "\n")
     print(f"report: {path}")
 
 
@@ -192,11 +186,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "groups": [
                 {"id": gid, "extent": extent, "value": value}
                 for gid, (extent, value) in enumerate(
-                    zip(group_extent_texts(job.geometry), result.values)
+                    zip(group_extent_texts(job.geometry), map(_finite, result.values))
                 )
             ],
             "counters": result.counters.snapshot(),
-            "timings": result.timings,
+            "timings": {name: _finite(t) for name, t in result.timings.items()},
         }
         _write_report(args.report, doc)
     return 0
@@ -247,10 +241,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         doc = {
             "query": args.query,
             "modes": {
-                mode: {"counters": info["counters"], "time": info["time"]}
+                mode: {"counters": info["counters"], "time": _finite(info["time"])}
                 for mode, info in runs.items()
             },
-            "ratios": ratios,
+            "ratios": {name: _finite(r) for name, r in ratios.items()},
         }
         _write_report(args.report, doc)
     return 0

@@ -9,6 +9,16 @@ The shuffle groups the rows once: it turns their group ids into slots (id
 minus the smallest id) and counts the rows of each slot with one bincount.
 Every reducer reads that grouping (the slots and their sizes) and groups
 nothing again.
+A holistic reducer (MEDIAN) needs each group's rows side by side. So, as a
+MapReduce map task sorts its output by key and the reducer merges the
+sorted runs, a naive map for a holistic aggregator emits its pairs group
+by group where the membership builds them so without sorting
+(Membership.pairs of nested rings, whose pairs are most of a naive job's
+rows), and the shuffle merges those runs into group order, keeping
+(split, emission) order within a group. Elsewhere a sort per split would
+cost more than one over the job's rows: those maps emit the cell-major
+pairs, which the reduce sorts by group once. Algebraic naive maps emit
+cell-major pairs too, and their bincount reducers need no grouping.
 run_job still accepts and validates a ``workers`` count, so callers written
 for a parallel engine keep working, but it does not change execution: results
 and counters are the same for any value.
@@ -37,6 +47,9 @@ KEY_BYTES = 8
 RAW_VALUE_BYTES = 8
 SUMMARY_BYTES = 16
 SUMMARY_EXT_BYTES = 24
+# rows a run, on average, from which _merge copies run by run: a slice costs
+# a Python step, a stable sort a few passes over every row
+LONG_RUN = 64
 
 
 class EngineError(Exception):
@@ -117,12 +130,15 @@ def _map_block(
     membership: Membership,
     agg: Aggregator | None,
     counters: Counters,
+    runs: bool = False,
 ) -> Pairs | Summaries:
     """One map task on its read block: without ``agg`` (naive), one (group
-    id, value) pair per group each kept cell belongs to; with it
-    (optimized), one summary per group seen in the split."""
+    id, value) pair per group each kept cell belongs to, cell-major, or in
+    one run per group by ascending id with ``runs``; with it (optimized),
+    one summary per group seen in the split."""
     if agg is None:
-        cells, gids = membership.block(split.region, keep)
+        emit = membership.pairs if runs else membership.block
+        cells, gids = emit(split.region, keep)
         out = Pairs(gids, block.ravel()[cells])
     else:
         out = membership.fold(split.region, block, keep, agg)
@@ -135,11 +151,15 @@ def _task_error(split: ArraySplit, exc: Exception) -> EngineError:
 
 
 def _map_band(
-    band: Band, membership: Membership, agg: Aggregator | None, counters: Counters
+    band: Band,
+    membership: Membership,
+    agg: Aggregator | None,
+    counters: Counters,
+    runs: bool = False,
 ) -> list[Pairs | Summaries]:
     """The map tasks of a band's splits: the membership's band fold where it
     gives one (optimized), which holds every split's rows in split order,
-    else each split's own task on its block."""
+    else each split's own task on its block (``runs`` as for _map_block)."""
     folded = None if agg is None else membership.fold_band(band, agg)
     if folded is not None:
         counters.add("map_output_records", len(folded))
@@ -147,7 +167,7 @@ def _map_band(
     outputs = []
     for split, block, keep in band.blocks():
         try:
-            outputs.append(_map_block(split, block, keep, membership, agg, counters))
+            outputs.append(_map_block(split, block, keep, membership, agg, counters, runs))
         except AggregateError as exc:
             raise _task_error(split, exc) from exc
     return outputs
@@ -179,12 +199,13 @@ def optimized_map(
 @dataclass
 class Shuffled:
     """The shuffle's output, grouped once: every map output row (Pairs or
-    Summaries) in (split, emission) order, with its group id turned into a
-    slot (``gid - lo``, ``lo`` the smallest id), and ``sizes[s]``, the rows
-    in slot s. Reducing needs no sort (group sums accumulate in row order),
-    so rows are put in group order only when iterated: that yields (gid,
-    items) for each group by ascending id, items being raw values (naive)
-    or AggSummary objects (optimized) in (split, emission) order."""
+    Summaries) in (split, emission) order, or, from merged runs, in group
+    order and in (split, emission) order within each group, with its group
+    id turned into a slot (``gid - lo``, ``lo`` the smallest id), and
+    ``sizes[s]``, the rows in slot s. Iterating puts the rows in group
+    order (a stable sort, which leaves merged rows as they are) and yields
+    (gid, items) for each group by ascending id, items being raw values
+    (naive) or AggSummary objects (optimized) in (split, emission) order."""
 
     rows: Pairs | Summaries
     lo: int
@@ -201,22 +222,62 @@ class Shuffled:
             yield gid, items[lo:hi]
 
 
+def _slots(rows: Pairs | Summaries) -> tuple[Pairs | Summaries, int, np.ndarray]:
+    """``rows`` (the shuffle's own copy) with each id turned into its slot,
+    the smallest id and the rows in each slot."""
+    lo = int(rows.gid.min()) if len(rows) else 0
+    rows.gid -= lo
+    return rows, lo, np.bincount(rows.gid)
+
+
+def _merge(outputs: Sequence[Pairs]) -> tuple[Pairs, int, np.ndarray]:
+    """_slots of the rows of map outputs that each hold one run per group
+    by ascending id, in group order: each group's runs output after output,
+    so its rows keep (split, emission) order. Where the runs average
+    LONG_RUN rows or more even if each output held every id from its first
+    to its last, each run is copied as one slice; otherwise the rows are
+    put in order by one stable sort by group."""
+    nonempty = [out for out in outputs if len(out)]
+    spans = [(int(out.gid[0]), int(out.gid[-1]) + 1) for out in nonempty]
+    if len(nonempty) < 2 or sum(map(len, nonempty)) < LONG_RUN * sum(b - a for a, b in spans):
+        rows = _concat(outputs)
+        return _slots(_take(rows, group_order(rows.gid)) if len(nonempty) > 1 else rows)
+    # each output's run of every id in its span, empty for the ids it lacks
+    edges = [np.searchsorted(out.gid, np.arange(a, b + 1)) for out, (a, b) in zip(nonempty, spans)]
+    first = np.concatenate([e[:-1] for e in edges])
+    length = np.concatenate([np.diff(e) for e in edges])
+    source = np.repeat(np.arange(len(nonempty)), [b - a for a, b in spans])
+    slot = np.concatenate([np.arange(a, b) for a, b in spans])
+    lo = int(slot.min())
+    slot -= lo
+    sizes = np.bincount(slot, length).astype(np.int64)
+    order = group_order(slot)  # runs by (group, output)
+    order = order[length[order] > 0]
+    first, length, source = first[order], length[order], source[order]
+    values = [out.value for out in nonempty]
+    value = np.concatenate(
+        [values[i][a : a + n] for i, a, n in zip(source.tolist(), first.tolist(), length.tolist())]
+    )
+    return Pairs(np.repeat(slot[order], length), value), lo, sizes
+
+
 def shuffle(
     map_outputs: Sequence[Pairs | Summaries],
     counters: Counters,
     *,
     value_bytes: int,
+    runs: bool = False,
 ) -> Shuffled:
     """Group map outputs by key.
 
-    Inputs arrive ordered by split and keep that order, so each group's rows
-    are ordered by (split, emission order).
+    Inputs arrive ordered by split. Without ``runs`` their rows are
+    concatenated in that order; with it, each output holds one run per
+    group by ascending id (a naive map's ``Membership.pairs``) and the runs
+    are merged into group order, output after output within a group. Either
+    way each group's rows are ordered by (split, emission order).
     """
-    rows = _concat(map_outputs)
-    counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(rows))
-    lo = int(rows.gid.min()) if len(rows) else 0
-    rows.gid -= lo  # the concatenation is the shuffle's own copy
-    grouped = Shuffled(rows, lo, np.bincount(rows.gid))
+    grouped = Shuffled(*(_merge(map_outputs) if runs else _slots(_concat(map_outputs))))
+    counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(grouped.rows))
     counters.add("shuffle_groups", len(grouped))
     return grouped
 
@@ -242,8 +303,11 @@ def summary_value_bytes(agg: Aggregator) -> int:
     return SUMMARY_EXT_BYTES if agg.uses_ext else SUMMARY_BYTES
 
 
-def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list:
-    """The result of every slot some row reaches, by ascending slot."""
+def _reduce(
+    rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator, grouped: bool
+) -> list:
+    """The result of every slot some row reaches, by ascending slot;
+    ``grouped`` when the rows are in group order (merged runs)."""
     if isinstance(rows, Summaries):
         return agg.group_results(agg.merge_groups(rows, sizes))
     if agg.algebraic:
@@ -256,6 +320,8 @@ def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list
             agg.fold_groups(rows.gid[order], rows.value[order], sizes)
             raise
         return agg.group_results(folded)
+    if not grouped:  # the map emitted block's cell-major pairs: sort them once
+        rows = _take(rows, group_order(rows.gid))
     return agg.holistic_results(rows.gid, rows.value, sizes)
 
 
@@ -279,13 +345,17 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
 
     t0 = time.perf_counter()
     map_agg = agg if plan.mode == "optimized" else None
+    # a holistic reducer reads its rows in group order: the shuffle merges
+    # the runs of pairs a membership builds in group order, and the reduce
+    # sorts the other memberships' rows once
+    runs = not agg.algebraic and membership.direct_pairs
     map_outputs = []
     mapped = 0  # splits mapped so far: a failed read names the next one
     # closed at once when a map task raises, not when its traceback is freed
     with closing(read_bands(splits, plan.query.predicate, counters)) as bands:
         try:
             for band in bands:
-                map_outputs += _map_band(band, membership, map_agg, counters)
+                map_outputs += _map_band(band, membership, map_agg, counters, runs)
                 mapped += len(band.splits)
                 del band  # before the next band is read, and through the reduce
         except StoreError as exc:
@@ -293,7 +363,7 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     t1 = time.perf_counter()
 
     value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
-    grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
+    grouped = shuffle(map_outputs, counters, value_bytes=value_bytes, runs=runs)
     rows, lo, sizes = grouped.rows, grouped.lo, grouped.sizes
     del map_outputs, grouped  # the shuffled rows are a copy
     t2 = time.perf_counter()
@@ -304,7 +374,7 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
         if not (0 <= lo and lo + len(sizes) <= group_count):
             raise EngineError(f"group id outside geometry (0..{group_count - 1})")
         try:
-            results = _reduce(rows, sizes, agg)
+            results = _reduce(rows, sizes, agg, runs)
         except AggregateError as exc:  # a reducer names its group by slot
             where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
             raise EngineError(f"{where}: {exc}") from exc

@@ -522,6 +522,20 @@ class TestStrictJsonReports:
         assert rc == 0
         assert _strict_json(report)["groups"][0]["value"] == "inf"
 
+    def test_run_report_writes_inf_minus_inf_and_nan_as_strings(self, tmp_path, capsys):
+        # one 2x2 block each: inf, -inf, inf + -inf (nan) and a finite sum
+        inf = np.inf
+        values = np.array([[inf, 0, -inf, 0], [0, 0, 0, 0], [inf, -inf, 1, 2], [0, 0, 3, 4]])
+        build_array(tmp_path, extents=(4, 4), chunks=(2, 2), values=values)
+        report = tmp_path / "r.json"
+        query = "select sum(val) from A grid as (partition by x 2, y 2)"
+        for mode in ("naive", "optimized"):
+            args = ["run", "--query", query, "--data-dir", str(tmp_path), "--mode", mode]
+            assert main([*args, "--report", str(report)]) == 0
+            doc = _strict_json(report)
+            assert [g["value"] for g in doc["groups"]] == ["inf", "-inf", "nan", 10.0]
+            assert all(math.isfinite(t) for t in doc["timings"].values())
+
     def test_bench_ratio_is_one_when_neither_mode_emits(self, data_dir, tmp_path, capsys):
         report = tmp_path / "bench.json"
         query = "select sum(val) from A where val < 0 grid as (partition by x 8, y 8)"

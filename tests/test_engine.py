@@ -1,4 +1,5 @@
 import os
+import statistics
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from aqlmr import (
     plan,
     run_job,
 )
+from aqlmr.aggregates import group_order
 from aqlmr.engine import (
     KEY_BYTES,
+    LONG_RUN,
     RAW_VALUE_BYTES,
     SUMMARY_BYTES,
     SUMMARY_EXT_BYTES,
     Counters,
+    Pairs,
 )
 from aqlmr.predicate import Comparison, ValuePredicate
 from aqlmr.storage import _bands, compute_splits
@@ -485,6 +489,39 @@ class TestMedianRuns:
         for gid, (got, want) in enumerate(zip(result.values, expected)):
             assert_close(got, want, context=f"group {gid}")
 
+    @pytest.mark.parametrize(
+        "kind, n, chunk, radius, step",
+        [
+            # nested rings of a few cells a split, which the shuffle sorts,
+            # and of 100 cells and more a split, which it copies run by run
+            ("hierarchical", 9, 2, 1, 1),
+            ("hierarchical", 400, 100, 50, 50),
+            # disjoint rings, whose cell-major pairs the reduce sorts
+            ("circular", 9, 2, 1, 1),
+        ],
+    )
+    def test_signed_zeros_of_one_ring_keep_split_order(
+        self, array_factory, kind, n, chunk, radius, step
+    ):
+        # ring 0 around the middle cell c crosses a chunk edge: its 0.0 (at
+        # c - 1) comes from an earlier split than its -0.0 (at c + 1), and
+        # its median is the second zero of statistics.median's stable sort
+        c = (n - 1) // 2
+        cells = np.where(np.arange(n) < c, -1.0, 2.0)
+        cells[c - 1], cells[c + 1] = 0.0, -0.0
+        assert (c - 1) // chunk < (c + 1) // chunk
+        built = array_factory(extents=(n,), chunks=(chunk,), values=cells)
+        text = f"select median(val) from A {kind} as (radius {radius} step {step})"
+        result = run_query(built, text, "naive")
+        # one split after another, each in emission (cell) order
+        distance = abs(np.arange(n) - c)
+        outer = [radius + k * step for k in range(len(result.values))]
+        inner = [-1] * len(outer) if kind == "hierarchical" else [-1, *outer[:-1]]
+        rings = [cells[(a < distance) & (distance <= b)].tolist() for a, b in zip(inner, outer)]
+        want = [statistics.median(ring) for ring in rings]
+        assert list(map(repr, result.values)) == list(map(repr, want))
+        assert repr(want[0]) == "-0.0" and repr(statistics.median(rings[0][::-1])) == "0.0"
+
     def test_optimized_median_plan_rejected_at_run(self, array_factory):
         from dataclasses import replace
 
@@ -496,6 +533,49 @@ class TestMedianRuns:
         job = replace(plan(query, "naive"), mode="optimized")
         with pytest.raises(EngineError, match="holistic aggregator cannot run optimized"):
             run_job(job)
+
+
+@st.composite
+def sorted_runs(draw):
+    """1-8 map outputs, each one run per group by ascending id, some empty;
+    runs average LONG_RUN rows or more in some draws and fewer in others,
+    over consecutive ids or with gaps between them."""
+    long = draw(st.booleans())
+    lengths = st.integers(LONG_RUN, 2 * LONG_RUN) if long else st.integers(1, 8)
+    consecutive = draw(st.booleans())
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    outputs, n = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        if consecutive:
+            first = draw(st.integers(3, 40))
+            gids = list(range(first, first + draw(st.integers(0, 6))))
+        else:
+            gids = sorted(draw(st.sets(st.integers(3, 40), max_size=6)))
+        sizes = [draw(lengths) for _ in gids]
+        gid = np.repeat(np.array(gids, np.int64), sizes)
+        outputs.append(Pairs(gid, np.arange(n, n + len(gid)).astype(dtype)))
+        n += len(gid)
+    return outputs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sorted_runs())
+def test_shuffle_merges_sorted_runs_in_group_order(outputs):
+    gid = np.concatenate([out.gid for out in outputs])
+    value = np.concatenate([out.value for out in outputs])
+    counters, concatenated = Counters(), Counters()
+    merged = engine.shuffle(outputs, counters, value_bytes=RAW_VALUE_BYTES, runs=True)
+    plain = engine.shuffle(outputs, concatenated, value_bytes=RAW_VALUE_BYTES)
+    assert counters == concatenated
+    assert merged.lo == plain.lo == (int(gid.min()) if len(gid) else 0)
+    order = group_order(gid)
+    assert merged.rows.gid.tolist() == (gid[order] - merged.lo).tolist()
+    assert merged.rows.value.tolist() == value[order].tolist()
+    assert merged.rows.value.dtype == value.dtype
+    assert merged.sizes.tolist() == np.bincount(gid - merged.lo).tolist()
+    assert merged.sizes.tolist() == plain.sizes.tolist()
+    for out in outputs:  # the merge copies: the map outputs are left as they were
+        assert np.all(out.gid >= 3)
 
 
 class TestErrors:

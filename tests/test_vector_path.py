@@ -7,7 +7,7 @@ at 1e15 plus noise, and int64 values near +-2**62, whose sums overflow
 int64. Filters that empty some or all splits and single-cell boxes come up
 on their own. Block membership is checked against each shape's
 definition: group extents for grids and windows, exact integer distances
-for rings. A grid is checked against its tumbling window, from geometry to
+for rings; its group-major pairs against a stable group sort of it. A grid is checked against its tumbling window, from geometry to
 run_job. The optimized sliding map's window kernels are checked against
 the pair fold they replace, on every split of ragged chunkings.
 """
@@ -270,6 +270,28 @@ def test_block_membership_matches_reference(case):
         assert np.all(np.diff(members) > 0)
     firsts = list(dict.fromkeys(cells.tolist()))
     assert firsts == sorted(firsts)
+
+
+# nested rings around (15, 15) with radius 1 step 2: the region's cells lie
+# 5 to 12 cells out, in own rings 2 to 6 of 8
+OFF_CENTRE = make_geometry(
+    "hierarchical", BoundingBox((0, 0), (31, 31)), RingParams(1, 2, "nested")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(regions())
+@example((OFF_CENTRE, BoundingBox((20, 3), (27, 10)), None))
+@example((OFF_CENTRE, BoundingBox((20, 3), (27, 10)), np.arange(64).reshape(8, 8) % 3 > 0))
+def test_pairs_are_block_pairs_in_stable_group_order(case):
+    geom, region, keep = case
+    membership = build_membership(geom)
+    cells, gids = membership.pairs(region, keep)
+    assert cells.dtype == gids.dtype == np.int64
+    block_cells, block_gids = membership.block(region, keep)
+    order = np.argsort(block_gids, kind="stable")
+    assert cells.tolist() == block_cells[order].tolist()
+    assert gids.tolist() == block_gids[order].tolist()
 
 
 @st.composite
