@@ -14,20 +14,21 @@ ext slot.
 The engine works on whole columns through four vector hooks: fold_groups
 (update_in_map for every (group, value) pair of a map task), merge_groups
 (update_in_reduce for every summary row of the shuffle), group_results
-(get_agg_result per group) and holistic_results (holistic_result per group).
-A reducer's rows come grouped by the shuffle: their ids are slots
+(get_agg_result per group) and holistic_results (holistic_result per
+group). A reducer's rows come grouped by the shuffle: their ids are slots
 0..len(sizes)-1 and ``sizes``, passed to fold_groups, merge_groups and
 holistic_results, counts the rows of each slot, so a hook need not group
-them again. The rows of holistic_results come in slot order too (the shuffle
-merges the naive map's sorted runs, or the reduce sorts the rows once), so
-it reads each group as one slice of the values. The base class derives each
-hook from the scalar hooks with a loop, so an aggregator that defines only
-the scalar hooks runs in both modes. Only custom aggregators take that loop:
-the built-ins (builtin_aggregates.py) override the vector hooks with numpy,
-derived from the ``combine`` kind a built-in declares (sum, count, minimum
-or maximum), which also lets the optimized sliding and grid maps compute
-every window's or block's summary with a kernel (window_aggregate, called by
-grouping's sliding fold and grid band fold) instead of fold_groups.
+them again. holistic_results gets the values alone (its gids are None), in
+slot order: the shuffle merges the naive map's sorted runs or sorts the
+values once, and the hook reads each group as one slice. The base class
+derives each hook from the scalar hooks with a loop, so an aggregator that
+defines only the scalar hooks runs in both modes. Only custom aggregators
+take that loop: the built-ins (builtin_aggregates.py) override the vector
+hooks with numpy, derived from the ``combine`` kind a built-in declares
+(sum, count, minimum or maximum), which also lets the optimized sliding and
+grid maps compute every window's or block's summary with a kernel
+(window_aggregate, called by grouping's sliding fold and grid band fold)
+instead of fold_groups.
 """
 
 from __future__ import annotations
@@ -182,11 +183,12 @@ class Aggregator:
         return [self.get_agg_result(s) for s in table.rows()]
 
     def holistic_results(
-        self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray | None = None
+        self, gids: np.ndarray | None, values: np.ndarray, sizes: np.ndarray | None = None
     ) -> list:
         """holistic_result of each group's values, in input order, for each
-        group by ascending id. With ``sizes``, the rows come grouped: the
-        ids are slots, by ascending slot, and sizes[s] rows hold slot s."""
+        group by ascending id. With ``sizes`` (the reduce), ``gids`` is None
+        and the values come grouped: sizes[s] of them for each slot s, by
+        ascending slot."""
         lo = 0
         if sizes is None:
             if not len(gids):

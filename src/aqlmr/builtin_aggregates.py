@@ -348,10 +348,10 @@ class Median(Aggregator):
     """Holistic: needs every value, so it cannot be combined in the mapper.
 
     The vector reduce gives statistics.median of each group, bit for bit.
-    Its rows come in group order, each group's values in input order (the
-    shuffle merges the map's sorted runs, or the engine sorts the rows once,
-    stably), with the group sizes the shuffle counted; without ``sizes`` it
-    groups them itself, by a stable group_order. Then _middles sorts all
+    Its values come in group order, each group's in input order (the
+    shuffle merges the map's sorted runs, or sorts the values once, stably),
+    with the group sizes the shuffle counted; without ``sizes`` it groups
+    them itself, by a stable group_order. Then _middles sorts all
     groups of one size as the rows of one 2-D block with numpy's default
     sort: one np.sort per distinct size, not per group. That sort is not
     stable, and among equal floats only -0.0 and 0.0 differ, so in a column
@@ -378,15 +378,20 @@ class Median(Aggregator):
             _check_value(v)
         return statistics.median(values)
 
-    def holistic_results(self, gids: np.ndarray, values: np.ndarray, sizes=None) -> list:
+    def holistic_results(self, gids: np.ndarray | None, values: np.ndarray, sizes=None) -> list:
         """statistics.median of each group, by ascending id (see the class
         docstring)."""
-        _reject_nan(gids, values)
-        if not len(gids):
+        if not len(values):
             return []
+        lo = 0
         if sizes is None:
-            _, gids, sizes = _span(gids)
+            lo, gids, sizes = _span(gids)
             values = values[group_order(gids)]
+        if values.dtype.kind == "f":
+            bad = np.isnan(values)
+            if bad.any():  # the lowest group with a NaN holds the first one
+                slot = np.searchsorted(np.cumsum(sizes), bad.argmax(), "right")
+                raise _in_group(AggregateDataError("NaN value in input"), lo + slot)
         n = sizes[sizes > 0]
         starts = np.cumsum(n) - n
         lower, upper = _middles(values, starts, n)

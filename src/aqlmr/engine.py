@@ -9,16 +9,16 @@ The shuffle groups the rows once: it turns their group ids into slots (id
 minus the smallest id) and counts the rows of each slot with one bincount.
 Every reducer reads that grouping (the slots and their sizes) and groups
 nothing again.
-A holistic reducer (MEDIAN) needs each group's rows side by side. So, as a
-MapReduce map task sorts its output by key and the reducer merges the
-sorted runs, a naive map for a holistic aggregator emits its pairs group
-by group where the membership builds them so without sorting
-(Membership.pairs of nested rings, whose pairs are most of a naive job's
-rows), and the shuffle merges those runs into group order, keeping
-(split, emission) order within a group. Elsewhere a sort per split would
-cost more than one over the job's rows: those maps emit the cell-major
-pairs, which the reduce sorts by group once. Algebraic naive maps emit
-cell-major pairs too, and their bincount reducers need no grouping.
+A holistic reducer (MEDIAN) reads each group's values side by side, so
+for it the shuffle hands over the values alone, in group order, keeping
+(split, emission) order within a group. As a MapReduce map task sorts its
+output by key and the reducer merges the sorted runs, a naive map for a
+holistic aggregator emits its pairs group by group where the membership
+builds them so without sorting (Membership.pairs of nested rings), and the
+shuffle merges those runs, one slice copy per run. Elsewhere a sort per
+split would cost more than one over the job's rows: those maps emit the
+cell-major pairs and the shuffle sorts the values by group once.
+Algebraic reducers sum in row order and need no grouping.
 run_job still accepts and validates a ``workers`` count, so callers written
 for a parallel engine keep working, but it does not change execution: results
 and counters are the same for any value.
@@ -47,9 +47,6 @@ KEY_BYTES = 8
 RAW_VALUE_BYTES = 8
 SUMMARY_BYTES = 16
 SUMMARY_EXT_BYTES = 24
-# rows a run, on average, from which _merge copies run by run: a slice costs
-# a Python step, a stable sort a few passes over every row
-LONG_RUN = 64
 
 
 class EngineError(Exception):
@@ -85,13 +82,15 @@ class JobResult:
 
 @dataclass
 class Pairs:
-    """(group id, raw value) rows in columns, as a naive map task emits them."""
+    """(group id, raw value) rows in columns, as a naive map task emits them.
+    The shuffle's values for a holistic reducer come in group order without
+    a gid column (None): its sizes say which rows hold which slot."""
 
-    gid: np.ndarray
+    gid: np.ndarray | None
     value: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.gid)
+        return len(self.value)
 
     def rows(self) -> list:
         return self.value.tolist()
@@ -133,9 +132,9 @@ def _map_block(
     runs: bool = False,
 ) -> Pairs | Summaries:
     """One map task on its read block: without ``agg`` (naive), one (group
-    id, value) pair per group each kept cell belongs to, cell-major, or in
-    one run per group by ascending id with ``runs``; with it (optimized),
-    one summary per group seen in the split."""
+    id, value) pair per group each kept cell belongs to, cell-major, or with
+    ``runs`` in one run per group by ascending id (``membership.pairs``);
+    with it (optimized), one summary per group seen in the split."""
     if agg is None:
         emit = membership.pairs if runs else membership.block
         cells, gids = emit(split.region, keep)
@@ -199,13 +198,13 @@ def optimized_map(
 @dataclass
 class Shuffled:
     """The shuffle's output, grouped once: every map output row (Pairs or
-    Summaries) in (split, emission) order, or, from merged runs, in group
-    order and in (split, emission) order within each group, with its group
-    id turned into a slot (``gid - lo``, ``lo`` the smallest id), and
-    ``sizes[s]``, the rows in slot s. Iterating puts the rows in group
-    order (a stable sort, which leaves merged rows as they are) and yields
-    (gid, items) for each group by ascending id, items being raw values
-    (naive) or AggSummary objects (optimized) in (split, emission) order."""
+    Summaries) in (split, emission) order, with its group id turned into a
+    slot (``gid - lo``, ``lo`` the smallest id), and ``sizes[s]``, the rows
+    in slot s. For a holistic reducer the rows are Pairs of values alone
+    (``gid`` None) in slot order instead. Iterating puts the rows in group
+    order and yields (gid, items) for each group by ascending id, items
+    being raw values (naive) or AggSummary objects (optimized) in (split,
+    emission) order."""
 
     rows: Pairs | Summaries
     lo: int
@@ -215,50 +214,38 @@ class Shuffled:
         return int(np.count_nonzero(self.sizes))
 
     def __iter__(self):
-        items = _take(self.rows, group_order(self.rows.gid)).rows()
+        rows = self.rows
+        if rows.gid is not None:
+            rows = _take(rows, group_order(rows.gid))
+        items = rows.rows()
         present = np.flatnonzero(self.sizes)
         ends = np.cumsum(self.sizes[present]).tolist()
         for gid, lo, hi in zip((present + self.lo).tolist(), [0, *ends], ends):
             yield gid, items[lo:hi]
 
 
-def _slots(rows: Pairs | Summaries) -> tuple[Pairs | Summaries, int, np.ndarray]:
-    """``rows`` (the shuffle's own copy) with each id turned into its slot,
-    the smallest id and the rows in each slot."""
-    lo = int(rows.gid.min()) if len(rows) else 0
-    rows.gid -= lo
-    return rows, lo, np.bincount(rows.gid)
-
-
 def _merge(outputs: Sequence[Pairs]) -> tuple[Pairs, int, np.ndarray]:
-    """_slots of the rows of map outputs that each hold one run per group
-    by ascending id, in group order: each group's runs output after output,
-    so its rows keep (split, emission) order. Where the runs average
-    LONG_RUN rows or more even if each output held every id from its first
-    to its last, each run is copied as one slice; otherwise the rows are
-    put in order by one stable sort by group."""
+    """The values of map outputs that each hold one run per group by
+    ascending id, in group order (each group's runs output after output, so
+    its values keep (split, emission) order, copied as one slice a run),
+    the smallest id and the rows in each slot."""
     nonempty = [out for out in outputs if len(out)]
-    spans = [(int(out.gid[0]), int(out.gid[-1]) + 1) for out in nonempty]
-    if len(nonempty) < 2 or sum(map(len, nonempty)) < LONG_RUN * sum(b - a for a, b in spans):
-        rows = _concat(outputs)
-        return _slots(_take(rows, group_order(rows.gid)) if len(nonempty) > 1 else rows)
-    # each output's run of every id in its span, empty for the ids it lacks
-    edges = [np.searchsorted(out.gid, np.arange(a, b + 1)) for out, (a, b) in zip(nonempty, spans)]
-    first = np.concatenate([e[:-1] for e in edges])
-    length = np.concatenate([np.diff(e) for e in edges])
-    source = np.repeat(np.arange(len(nonempty)), [b - a for a, b in spans])
-    slot = np.concatenate([np.arange(a, b) for a, b in spans])
-    lo = int(slot.min())
-    slot -= lo
-    sizes = np.bincount(slot, length).astype(np.int64)
-    order = group_order(slot)  # runs by (group, output)
-    order = order[length[order] > 0]
-    first, length, source = first[order], length[order], source[order]
-    values = [out.value for out in nonempty]
+    if not nonempty:
+        return Pairs(None, _concat(outputs).value), 0, np.zeros(0, np.int64)
+    lo = min(int(out.gid[0]) for out in nonempty)
+    ids = np.arange(lo, max(int(out.gid[-1]) for out in nonempty) + 2)
+    # bounds[i, s]: where output i's run of slot s starts, and slot s - 1's ends
+    bounds = np.array([np.searchsorted(out.gid, ids) for out in nonempty])
+    edges = bounds.tolist()
     value = np.concatenate(
-        [values[i][a : a + n] for i, a, n in zip(source.tolist(), first.tolist(), length.tolist())]
+        [
+            out.value[b[s] : b[s + 1]]
+            for s in range(len(ids) - 1)
+            for out, b in zip(nonempty, edges)
+            if b[s] < b[s + 1]
+        ]
     )
-    return Pairs(np.repeat(slot[order], length), value), lo, sizes
+    return Pairs(None, value), lo, np.diff(bounds, axis=1).sum(axis=0)
 
 
 def shuffle(
@@ -266,17 +253,28 @@ def shuffle(
     counters: Counters,
     *,
     value_bytes: int,
+    holistic: bool = False,
     runs: bool = False,
 ) -> Shuffled:
     """Group map outputs by key.
 
-    Inputs arrive ordered by split. Without ``runs`` their rows are
-    concatenated in that order; with it, each output holds one run per
-    group by ascending id (a naive map's ``Membership.pairs``) and the runs
-    are merged into group order, output after output within a group. Either
-    way each group's rows are ordered by (split, emission order).
+    Inputs arrive ordered by split and keep that order, so each group's rows
+    are ordered by (split, emission order). For a ``holistic`` reducer the
+    shuffle hands over the values alone, in group order: with ``runs``, each
+    output holds one run per group by ascending id (a naive map's
+    ``Membership.pairs``) and the runs are merged; without it the values are
+    put in order by one stable sort by group.
     """
-    grouped = Shuffled(*(_merge(map_outputs) if runs else _slots(_concat(map_outputs))))
+    if runs:
+        grouped = Shuffled(*_merge(map_outputs))
+    else:
+        rows = _concat(map_outputs)
+        lo = int(rows.gid.min()) if len(rows) else 0
+        rows.gid -= lo  # the concatenation is the shuffle's own copy
+        sizes = np.bincount(rows.gid)
+        if holistic:
+            rows = Pairs(None, rows.value[group_order(rows.gid)])
+        grouped = Shuffled(rows, lo, sizes)
     counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(grouped.rows))
     counters.add("shuffle_groups", len(grouped))
     return grouped
@@ -303,26 +301,21 @@ def summary_value_bytes(agg: Aggregator) -> int:
     return SUMMARY_EXT_BYTES if agg.uses_ext else SUMMARY_BYTES
 
 
-def _reduce(
-    rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator, grouped: bool
-) -> list:
-    """The result of every slot some row reaches, by ascending slot;
-    ``grouped`` when the rows are in group order (merged runs)."""
+def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list:
+    """The result of every slot some row reaches, by ascending slot."""
     if isinstance(rows, Summaries):
         return agg.group_results(agg.merge_groups(rows, sizes))
-    if agg.algebraic:
-        try:
-            folded = agg.fold_groups(rows.gid, rows.value, sizes)
-        except AggregateError:
-            # a reducer folds group by group and meets the lowest group's bad
-            # value first: fold again in stable group order to raise that one
-            order = group_order(rows.gid)
-            agg.fold_groups(rows.gid[order], rows.value[order], sizes)
-            raise
-        return agg.group_results(folded)
-    if not grouped:  # the map emitted block's cell-major pairs: sort them once
-        rows = _take(rows, group_order(rows.gid))
-    return agg.holistic_results(rows.gid, rows.value, sizes)
+    if not agg.algebraic:  # the shuffle put the values in slot order
+        return agg.holistic_results(None, rows.value, sizes)
+    try:
+        folded = agg.fold_groups(rows.gid, rows.value, sizes)
+    except AggregateError:
+        # a reducer folds group by group and meets the lowest group's bad
+        # value first: fold again in stable group order to raise that one
+        order = group_order(rows.gid)
+        agg.fold_groups(rows.gid[order], rows.value[order], sizes)
+        raise
+    return agg.group_results(folded)
 
 
 def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
@@ -345,10 +338,10 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
 
     t0 = time.perf_counter()
     map_agg = agg if plan.mode == "optimized" else None
-    # a holistic reducer reads its rows in group order: the shuffle merges
-    # the runs of pairs a membership builds in group order, and the reduce
-    # sorts the other memberships' rows once
-    runs = not agg.algebraic and membership.direct_pairs
+    # a holistic reducer reads its values in group order: the shuffle merges
+    # the runs of pairs a membership builds group-major, else sorts once
+    holistic = not agg.algebraic
+    runs = holistic and membership.pairs is not None
     map_outputs = []
     mapped = 0  # splits mapped so far: a failed read names the next one
     # closed at once when a map task raises, not when its traceback is freed
@@ -363,7 +356,9 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     t1 = time.perf_counter()
 
     value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
-    grouped = shuffle(map_outputs, counters, value_bytes=value_bytes, runs=runs)
+    grouped = shuffle(
+        map_outputs, counters, value_bytes=value_bytes, holistic=holistic, runs=runs
+    )
     rows, lo, sizes = grouped.rows, grouped.lo, grouped.sizes
     del map_outputs, grouped  # the shuffled rows are a copy
     t2 = time.perf_counter()
@@ -374,7 +369,7 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
         if not (0 <= lo and lo + len(sizes) <= group_count):
             raise EngineError(f"group id outside geometry (0..{group_count - 1})")
         try:
-            results = _reduce(rows, sizes, agg, runs)
+            results = _reduce(rows, sizes, agg)
         except AggregateError as exc:  # a reducer names its group by slot
             where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
             raise EngineError(f"{where}: {exc}") from exc

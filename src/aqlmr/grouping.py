@@ -32,10 +32,10 @@ ring (box corners exceed the inscribed radius) belong to no group.
 A compiled Membership defines each shape's membership once, for a whole
 region at a time (the engine's map), from per-dimension index ranges
 broadcast over the region: no per-cell Python work. One cell (groups_of) is
-the one-cell region. Its pairs come cell-major (block) or group-major
-(pairs): a stable group sort of block by default, while nested rings build
-them directly, ring k being the cells whose own ring is k or less, so the
-holistic naive map emits them and the shuffle merges sorted runs.
+the one-cell region. Its pairs come cell-major (block); nested rings also
+give them group-major (pairs), built without a sort, ring k being the cells
+whose own ring is k or less, which a naive map for a holistic aggregator
+emits so that the shuffle merges sorted runs.
 
 The optimized map folds a band through Membership.fold_band, which grids
 override, or else each split's region through Membership.fold, which by
@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .aggregates import Summaries, group_order
+from .aggregates import Summaries
 from .storage import BoundingBox
 
 if TYPE_CHECKING:
@@ -184,22 +184,18 @@ def groups_of(coord: tuple[int, ...], geom: GroupGeometry) -> tuple[int, ...]:
 
 class Membership:
     """A geometry's membership, compiled once per job: ``block`` gives every
-    membership of a region's cells at once, cell-major, and ``pairs`` the
-    same pairs group-major, which a naive map for a holistic aggregator
-    emits where ``direct_pairs``. ``block`` stays cell-major because the
-    optimized fold's errors name the value that a cell-by-cell fold meets
-    first.
+    membership of a region's cells at once, cell-major (the optimized
+    fold's errors name the value that a cell-by-cell fold meets first).
 
     Called with a coordinate, it is ``block`` over that one cell: the cell's
     group ids, ascending row-major for sliding windows and from the cell's
     own ring outward for nested rings; () for a cell outside the box.
     """
 
-    # whether ``pairs`` builds its group-major order directly rather than by
-    # sorting ``block``'s pairs: only then does a naive map for a holistic
-    # aggregator emit ``pairs`` (a sort per split costs more than one sort
-    # of the job's rows)
-    direct_pairs = False
+    # ``block``'s pairs group-major, where a membership builds them so
+    # without sorting (nested rings: _NestedRings.pairs); a naive map for a
+    # holistic aggregator emits them, and elsewhere the shuffle sorts once
+    pairs = None
 
     def __init__(self, box: BoundingBox, block) -> None:
         self._box = box
@@ -218,16 +214,6 @@ class Membership:
         the first pair of a cell comes before the first pair of every later
         cell."""
         return self._block(region, keep)
-
-    def pairs(
-        self, region: BoundingBox, keep: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``block``'s pairs group-major: by ascending group id, and by
-        ascending cell within a group (a stable sort of ``block`` by group,
-        the default)."""
-        cells, gids = self.block(region, keep)
-        order = group_order(gids)
-        return cells[order], gids[order]
 
     def fold(
         self, region: BoundingBox, block: np.ndarray, keep: np.ndarray | None, agg: "Aggregator"
@@ -481,32 +467,31 @@ def _ring_members(geom: GroupGeometry, region: BoundingBox, keep):
     return cells, ring[at], rings[at]
 
 
-class _Rings(Membership):
-    """Ring membership, from each kept cell's own ring and ring count
-    (_ring_members): ``block`` expands each cell into its rings; ``pairs``
-    builds nested rings group-major without a sort."""
+def _ring_pairs(geom: GroupGeometry, region: BoundingBox, keep):
+    """Membership pairs of ring geometries, each cell expanded into its rings."""
+    return _expand(*_ring_members(geom, region, keep))
+
+
+class _NestedRings(Membership):
+    """Nested ring membership, which also gives its pairs group-major."""
 
     def __init__(self, geom: GroupGeometry) -> None:
-        super().__init__(geom.box, self._cell_major)
+        super().__init__(geom.box, partial(_ring_pairs, geom))
         self._geom = geom
-        # a disjoint ring has one pair a cell: one mask per ring would cost
-        # more than a radix sort by ring
-        self.direct_pairs = geom.params.mode == "nested"
 
-    def _cell_major(self, region: BoundingBox, keep):
-        return _expand(*_ring_members(self._geom, region, keep))
-
-    def pairs(self, region, keep=None):
-        if not self.direct_pairs:
-            return super().pairs(region, keep)
+    def pairs(
+        self, region: BoundingBox, keep: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``block``'s pairs by ascending group id, and by ascending cell
+        within a group, without a sort: nested ring k holds the cells whose
+        own ring is k or less, one mask each below the largest own ring, and
+        from it on every cell."""
         cells, own, rings = _ring_members(self._geom, region, keep)
         inside = rings > 0
         if not inside.all():
             cells, own = cells[inside], own[inside]
         if not len(cells):
             return cells, own
-        # nested ring k holds the cells whose own ring is k or less: one
-        # mask each below the largest own ring, and from it on every cell
         first, last = int(own.min()), int(own.max())
         outer = self._geom.group_count - last
         members = [cells[own <= k] for k in range(first, last)]
@@ -520,7 +505,9 @@ def build_membership(geom: GroupGeometry) -> Membership:
     """Compile the membership function once for a job."""
     box, lattice = geom.box, geom.lattice
     if lattice is None:
-        return _Rings(geom)
+        if geom.params.mode == "nested":
+            return _NestedRings(geom)
+        return Membership(box, partial(_ring_pairs, geom))
     if geom.kind == "sliding":
         return _Windows(box, lattice)
     return _Grid(box, lattice)

@@ -17,7 +17,6 @@ from aqlmr import (
 from aqlmr.aggregates import group_order
 from aqlmr.engine import (
     KEY_BYTES,
-    LONG_RUN,
     RAW_VALUE_BYTES,
     SUMMARY_BYTES,
     SUMMARY_EXT_BYTES,
@@ -492,11 +491,11 @@ class TestMedianRuns:
     @pytest.mark.parametrize(
         "kind, n, chunk, radius, step",
         [
-            # nested rings of a few cells a split, which the shuffle sorts,
-            # and of 100 cells and more a split, which it copies run by run
+            # nested rings of a few cells a split and of 100 cells and more
+            # a split, whose runs the shuffle merges
             ("hierarchical", 9, 2, 1, 1),
             ("hierarchical", 400, 100, 50, 50),
-            # disjoint rings, whose cell-major pairs the reduce sorts
+            # disjoint rings, whose cell-major values the shuffle sorts
             ("circular", 9, 2, 1, 1),
         ],
     )
@@ -522,6 +521,23 @@ class TestMedianRuns:
         assert list(map(repr, result.values)) == list(map(repr, want))
         assert repr(want[0]) == "-0.0" and repr(statistics.median(rings[0][::-1])) == "0.0"
 
+    @pytest.mark.parametrize(
+        "shape, cell",
+        [
+            # the NaN is the first value of group 1, which the reduce meets
+            # before any later group's
+            ("grid as (partition by x 3)", 3),
+            ("circular as (radius 0 step 2)", 2),
+            ("hierarchical as (radius 0 step 2)", 2),
+        ],
+    )
+    def test_nan_names_the_lowest_group_holding_one(self, array_factory, shape, cell):
+        cells = np.arange(9.0)
+        cells[cell] = np.nan
+        built = array_factory(extents=(9,), chunks=(3,), values=cells)
+        with pytest.raises(EngineError, match=r"^reduce \(group 1\): NaN value in input$"):
+            run_query(built, f"select median(val) from A {shape}", "naive")
+
     def test_optimized_median_plan_rejected_at_run(self, array_factory):
         from dataclasses import replace
 
@@ -538,10 +554,9 @@ class TestMedianRuns:
 @st.composite
 def sorted_runs(draw):
     """1-8 map outputs, each one run per group by ascending id, some empty;
-    runs average LONG_RUN rows or more in some draws and fewer in others,
-    over consecutive ids or with gaps between them."""
-    long = draw(st.booleans())
-    lengths = st.integers(LONG_RUN, 2 * LONG_RUN) if long else st.integers(1, 8)
+    runs of 1-8 rows in some draws and of 50-100 in others, over
+    consecutive ids or with gaps between them."""
+    lengths = st.integers(50, 100) if draw(st.booleans()) else st.integers(1, 8)
     consecutive = draw(st.booleans())
     dtype = draw(st.sampled_from([np.float64, np.int64]))
     outputs, n = [], 0
@@ -563,18 +578,25 @@ def sorted_runs(draw):
 def test_shuffle_merges_sorted_runs_in_group_order(outputs):
     gid = np.concatenate([out.gid for out in outputs])
     value = np.concatenate([out.value for out in outputs])
-    counters, concatenated = Counters(), Counters()
-    merged = engine.shuffle(outputs, counters, value_bytes=RAW_VALUE_BYTES, runs=True)
-    plain = engine.shuffle(outputs, concatenated, value_bytes=RAW_VALUE_BYTES)
-    assert counters == concatenated
-    assert merged.lo == plain.lo == (int(gid.min()) if len(gid) else 0)
     order = group_order(gid)
-    assert merged.rows.gid.tolist() == (gid[order] - merged.lo).tolist()
-    assert merged.rows.value.tolist() == value[order].tolist()
-    assert merged.rows.value.dtype == value.dtype
-    assert merged.sizes.tolist() == np.bincount(gid - merged.lo).tolist()
-    assert merged.sizes.tolist() == plain.sizes.tolist()
-    for out in outputs:  # the merge copies: the map outputs are left as they were
+    plain_counters = Counters()
+    plain = engine.shuffle(outputs, plain_counters, value_bytes=RAW_VALUE_BYTES)
+    assert plain.lo == (int(gid.min()) if len(gid) else 0)
+    assert plain.sizes.tolist() == np.bincount(gid - plain.lo).tolist()
+    # merged runs, and the one stable sort of the concatenation
+    for runs in (True, False):
+        counters = Counters()
+        grouped = engine.shuffle(
+            outputs, counters, value_bytes=RAW_VALUE_BYTES, holistic=True, runs=runs
+        )
+        assert counters == plain_counters
+        assert grouped.lo == plain.lo
+        assert grouped.sizes.tolist() == plain.sizes.tolist()
+        assert grouped.rows.gid is None
+        assert grouped.rows.value.tolist() == value[order].tolist()
+        assert grouped.rows.value.dtype == value.dtype
+        assert list(grouped) == list(plain)
+    for out in outputs:  # the shuffle copies: the map outputs are left as they were
         assert np.all(out.gid >= 3)
 
 
