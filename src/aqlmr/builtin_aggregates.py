@@ -18,11 +18,14 @@ order, so float window and block sums can differ from a sequential fold in
 their last bits. The cells a ``where`` filter drops get the combine's
 neutral value by bit masks (_fill_dropped), not np.where. The code sticks to a
 few numpy kernels (bincount, ufunc.at, ufunc.reduceat, bitwise and/xor,
-stable argsort, cumsum, repeat and indexing, and np.sort at its default
-kind): each new kernel maps more of numpy's code into every process that
-runs a query. The default sort earns its pages in MEDIAN's reduce,
-which sorts every shuffled value: numpy's SIMD sort there is several times
-faster than the stable float64 sort (a timsort).
+stable argsort, cumsum, repeat and indexing, np.sort and np.partition):
+each new kernel maps more of numpy's code into every process that runs a
+query. The sorts and the partition earn their pages in MEDIAN's reduce,
+which needs only each group's two middle values: in a large group a
+selection (introselect) takes linear time where a sort takes n log n, and
+in a small one numpy's SIMD sort beats the partition's per-row cost. The
+stable sort serves MEDIAN's signed-zero re-read, which must meet the zeros
+in input order, as sorted() does.
 """
 
 from __future__ import annotations
@@ -351,13 +354,14 @@ class Median(Aggregator):
     Its values come in group order, each group's in input order (the
     shuffle merges the map's sorted runs, or sorts the values once, stably),
     with the group sizes the shuffle counted; without ``sizes`` it groups
-    them itself, by a stable group_order. Then _middles sorts all
-    groups of one size as the rows of one 2-D block with numpy's default
-    sort: one np.sort per distinct size, not per group. That sort is not
-    stable, and among equal floats only -0.0 and 0.0 differ, so in a column
-    that holds both, a group whose middle value is a zero re-reads its
-    middle values from a stable sort of its input-ordered values, as
-    sorted() does."""
+    them itself, by a stable group_order. Then _middles takes the lower
+    and upper middle values of all groups of one size, the rows of one 2-D
+    block, with one call per distinct size, not per group: np.partition
+    selects them in large groups, numpy's default sort orders small ones.
+    Neither is stable, and among equal floats only -0.0 and 0.0 differ, so
+    in a column that holds both, a group whose middle value is a zero
+    re-reads its middle values from a stable sort of its input-ordered
+    values, as sorted() does."""
 
     name = "median"
     algebraic = False
@@ -412,11 +416,24 @@ class Median(Aggregator):
         return middle.tolist()
 
 
+# the smallest group size whose middle values np.partition selects: below
+# it numpy's per-row cost of partition (and of the max of a short row)
+# exceeds its SIMD sort, e.g. 4,096 groups of 16 float64 sort in about a
+# third of the time
+_SELECT_SIZE = 512
+
+
 def _middles(column: np.ndarray, starts: np.ndarray, sizes: np.ndarray, kind=None):
     """The lower and upper middle values of the groups whose values are
-    column[start:start + size], sorted by ``kind`` (numpy's default sort
-    when None). All groups of one size are the rows of one 2-D block, sorted
-    along its rows by one np.sort, so the loop runs once per distinct size."""
+    column[start:start + size]: in a group of _SELECT_SIZE values or more,
+    the upper one selected by np.partition (the lower one of an even group
+    is the largest value the partition puts before it); in a smaller one,
+    or with ``kind``, both read from a sort (numpy's default, or ``kind``).
+    All groups of one size are the rows of one 2-D block (a slice of the
+    column when the size has one group), partitioned or sorted along its
+    rows by one call, so the loop runs once per distinct size. One kth,
+    not the two middle ones: numpy selects one kth several times faster
+    than two."""
     lower = np.empty(len(sizes), column.dtype)
     upper = np.empty(len(sizes), column.dtype)
     by_size = group_order(sizes)
@@ -425,9 +442,20 @@ def _middles(column: np.ndarray, starts: np.ndarray, sizes: np.ndarray, kind=Non
     for size in np.flatnonzero(tally).tolist():
         rows = by_size[first : first + tally[size]]
         first += len(rows)
-        block = np.sort(column[starts[rows, None] + np.arange(size)], axis=1, kind=kind)
-        lower[rows] = block[:, (size - 1) >> 1]
-        upper[rows] = block[:, size >> 1]
+        if len(rows) == 1:  # a view: np.partition and np.sort copy it
+            start = int(starts[rows[0]])
+            block = column[None, start : start + size]
+        else:
+            block = column[starts[rows, None] + np.arange(size)]
+        k = size >> 1
+        if kind is None and size >= _SELECT_SIZE:
+            block = np.partition(block, k, axis=1)
+            # an even group's lower middle value is the largest before k
+            lower[rows] = block[:, k] if size % 2 else block[:, :k].max(axis=1)
+        else:
+            block = np.sort(block, axis=1, kind=kind)
+            lower[rows] = block[:, (size - 1) >> 1]
+        upper[rows] = block[:, k]
     return lower, upper
 
 

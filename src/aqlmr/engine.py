@@ -15,9 +15,13 @@ for it the shuffle hands over the values alone, in group order, keeping
 output by key and the reducer merges the sorted runs, a naive map for a
 holistic aggregator emits its pairs group by group where the membership
 builds them so without sorting (Membership.pairs of nested rings), and the
-shuffle merges those runs, one slice copy per run. Elsewhere a sort per
-split would cost more than one over the job's rows: those maps emit the
-cell-major pairs and the shuffle sorts the values by group once.
+shuffle merges those runs, one slice copy per run. Such an output keeps
+run-length keys (Runs: its first group id and the length of each group's
+run), as a sort-merge shuffle keeps a run index beside each sorted spill
+instead of a key per record; the merge finds each run's bounds from the
+lengths' cumulative sums. Elsewhere a sort per split would cost more than
+one over the job's rows: those maps emit the cell-major pairs and the
+shuffle sorts the values by group once.
 Algebraic reducers sum in row order and need no grouping.
 run_job still accepts and validates a ``workers`` count, so callers written
 for a parallel engine keep working, but it does not change execution: results
@@ -26,7 +30,8 @@ and counters are the same for any value.
 Counters model the costs a distributed run would pay: cells read and emitted,
 bytes scanned, bytes moved through the shuffle (8 bytes of key plus the
 value payload: 8 for a raw value, 16 for a summary, 24 for a summary with an
-extension slot), and records entering reducers.
+extension slot, whether or not the map output keeps its keys as runs), and
+records entering reducers.
 """
 
 from __future__ import annotations
@@ -82,9 +87,10 @@ class JobResult:
 
 @dataclass
 class Pairs:
-    """(group id, raw value) rows in columns, as a naive map task emits them.
-    The shuffle's values for a holistic reducer come in group order without
-    a gid column (None): its sizes say which rows hold which slot."""
+    """(group id, raw value) rows in columns, as a naive map task emits them
+    cell-major. The shuffle's values for a holistic reducer come in group
+    order without a gid column (None): its sizes say which rows hold which
+    slot."""
 
     gid: np.ndarray | None
     value: np.ndarray
@@ -94,6 +100,21 @@ class Pairs:
 
     def rows(self) -> list:
         return self.value.tolist()
+
+
+@dataclass
+class Runs:
+    """Raw values group-major, keyed by run lengths, as a naive map task
+    emits Membership.pairs: ``lengths[k]`` values of group ``first + k``,
+    then those of the next group. A run between others may be empty; the
+    first and the last hold some value."""
+
+    first: int
+    lengths: np.ndarray
+    value: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
 
 
 def _take(table, index):
@@ -130,14 +151,17 @@ def _map_block(
     agg: Aggregator | None,
     counters: Counters,
     runs: bool = False,
-) -> Pairs | Summaries:
+) -> Pairs | Runs | Summaries:
     """One map task on its read block: without ``agg`` (naive), one (group
     id, value) pair per group each kept cell belongs to, cell-major, or with
-    ``runs`` in one run per group by ascending id (``membership.pairs``);
-    with it (optimized), one summary per group seen in the split."""
-    if agg is None:
-        emit = membership.pairs if runs else membership.block
-        cells, gids = emit(split.region, keep)
+    ``runs`` the values in one run per group by ascending id, keyed by run
+    lengths (``membership.pairs``); with it (optimized), one summary per
+    group seen in the split."""
+    if agg is None and runs:
+        values, first, lengths = membership.pairs(split.region, block, keep)
+        out = Runs(first, lengths, values)
+    elif agg is None:
+        cells, gids = membership.block(split.region, keep)
         out = Pairs(gids, block.ravel()[cells])
     else:
         out = membership.fold(split.region, block, keep, agg)
@@ -155,7 +179,7 @@ def _map_band(
     agg: Aggregator | None,
     counters: Counters,
     runs: bool = False,
-) -> list[Pairs | Summaries]:
+) -> list[Pairs | Runs | Summaries]:
     """The map tasks of a band's splits: the membership's band fold where it
     gives one (optimized), which holds every split's rows in split order,
     else each split's own task on its block (``runs`` as for _map_block)."""
@@ -224,23 +248,28 @@ class Shuffled:
             yield gid, items[lo:hi]
 
 
-def _merge(outputs: Sequence[Pairs]) -> tuple[Pairs, int, np.ndarray]:
+def _merge(outputs: Sequence[Runs]) -> tuple[Pairs, int, np.ndarray]:
     """The values of map outputs that each hold one run per group by
     ascending id, in group order (each group's runs output after output, so
     its values keep (split, emission) order, copied as one slice a run),
-    the smallest id and the rows in each slot."""
+    the smallest id and the rows in each slot. Each output's run bounds are
+    the cumulative sums of its run lengths."""
     nonempty = [out for out in outputs if len(out)]
     if not nonempty:
-        return Pairs(None, _concat(outputs).value), 0, np.zeros(0, np.int64)
-    lo = min(int(out.gid[0]) for out in nonempty)
-    ids = np.arange(lo, max(int(out.gid[-1]) for out in nonempty) + 2)
+        return Pairs(None, outputs[0].value), 0, np.zeros(0, np.int64)
+    lo = min(out.first for out in nonempty)
+    span = max(out.first + len(out.lengths) for out in nonempty) - lo
     # bounds[i, s]: where output i's run of slot s starts, and slot s - 1's ends
-    bounds = np.array([np.searchsorted(out.gid, ids) for out in nonempty])
+    bounds = np.zeros((len(nonempty), span + 1), np.int64)
+    for row, out in zip(bounds, nonempty):
+        at = out.first - lo + 1
+        np.cumsum(out.lengths, out=row[at : at + len(out.lengths)])
+        row[at + len(out.lengths) :] = len(out)
     edges = bounds.tolist()
     value = np.concatenate(
         [
             out.value[b[s] : b[s + 1]]
-            for s in range(len(ids) - 1)
+            for s in range(span)
             for out, b in zip(nonempty, edges)
             if b[s] < b[s + 1]
         ]
@@ -249,7 +278,7 @@ def _merge(outputs: Sequence[Pairs]) -> tuple[Pairs, int, np.ndarray]:
 
 
 def shuffle(
-    map_outputs: Sequence[Pairs | Summaries],
+    map_outputs: Sequence[Pairs | Runs | Summaries],
     counters: Counters,
     *,
     value_bytes: int,
@@ -261,9 +290,9 @@ def shuffle(
     Inputs arrive ordered by split and keep that order, so each group's rows
     are ordered by (split, emission order). For a ``holistic`` reducer the
     shuffle hands over the values alone, in group order: with ``runs``, each
-    output holds one run per group by ascending id (a naive map's
-    ``Membership.pairs``) and the runs are merged; without it the values are
-    put in order by one stable sort by group.
+    output is a Runs table, one run per group by ascending id (a naive map's
+    ``Membership.pairs``), and the runs are merged; without it the values
+    are put in order by one stable sort by group.
     """
     if runs:
         grouped = Shuffled(*_merge(map_outputs))

@@ -33,9 +33,12 @@ A compiled Membership defines each shape's membership once, for a whole
 region at a time (the engine's map), from per-dimension index ranges
 broadcast over the region: no per-cell Python work. One cell (groups_of) is
 the one-cell region. Its pairs come cell-major (block); nested rings also
-give them group-major (pairs), built without a sort, ring k being the cells
-whose own ring is k or less, which a naive map for a holistic aggregator
-emits so that the shuffle merges sorted runs.
+give the values of their pairs group-major (pairs), built without a sort,
+ring k being the cells whose own ring is k or less, which a naive map for a
+holistic aggregator emits so that the shuffle merges sorted runs. Those
+runs keep their group ids as run-length keys, the first group id and the
+length of each group's run, and no id per pair; they repeat values
+gathered once per split, not cell offsets.
 
 The optimized map folds a band through Membership.fold_band, which grids
 override, or else each split's region through Membership.fold, which by
@@ -192,8 +195,9 @@ class Membership:
     own ring outward for nested rings; () for a cell outside the box.
     """
 
-    # ``block``'s pairs group-major, where a membership builds them so
-    # without sorting (nested rings: _NestedRings.pairs); a naive map for a
+    # the values of ``block``'s pairs group-major, as (values, first group
+    # id, run length per group), where a membership builds them so without
+    # sorting (nested rings: _NestedRings.pairs); a naive map for a
     # holistic aggregator emits them, and elsewhere the shuffle sorts once
     pairs = None
 
@@ -480,25 +484,29 @@ class _NestedRings(Membership):
         self._geom = geom
 
     def pairs(
-        self, region: BoundingBox, keep: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``block``'s pairs by ascending group id, and by ascending cell
-        within a group, without a sort: nested ring k holds the cells whose
-        own ring is k or less, one mask each below the largest own ring, and
-        from it on every cell."""
+        self, region: BoundingBox, block: np.ndarray, keep: np.ndarray | None = None
+    ) -> tuple[np.ndarray, int, np.ndarray]:
+        """The values of ``block`` (the region's) of every pair of
+        ``self.block``, by ascending group id, and by ascending cell within
+        a group, without a sort, as ``(values, first, lengths)``: one run
+        per group, ``lengths[k]`` values of group ``first + k``, every run
+        holding some value. Nested ring k holds the cells whose own ring is
+        k or less, one mask each below the largest own ring, and from it on
+        every cell; the kept cells' values are gathered once, before the
+        runs repeat them."""
         cells, own, rings = _ring_members(self._geom, region, keep)
         inside = rings > 0
         if not inside.all():
             cells, own = cells[inside], own[inside]
-        if not len(cells):
-            return cells, own
+        values = block.ravel()[cells]
+        if not len(values):
+            return values, 0, np.zeros(0, np.int64)
         first, last = int(own.min()), int(own.max())
         outer = self._geom.group_count - last
-        members = [cells[own <= k] for k in range(first, last)]
-        counts = [len(m) for m in members] + [len(cells)] * outer
-        members.append(np.tile(cells, outer))
-        gids = np.repeat(np.arange(first, first + len(counts)), counts)
-        return np.concatenate(members), gids
+        members = [values[own <= k] for k in range(first, last)]
+        lengths = [len(m) for m in members] + [len(values)] * outer
+        members.append(np.tile(values, outer))
+        return np.concatenate(members), first, np.array(lengths, np.int64)
 
 
 def build_membership(geom: GroupGeometry) -> Membership:

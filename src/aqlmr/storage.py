@@ -369,7 +369,7 @@ def compute_splits(
     return splits
 
 
-BAND_BYTES = 256 * 1024  # most bytes of the box's rows one band holds
+BAND_BYTES = 512 * 1024  # most bytes of the box's rows one band holds
 _RUN_BYTES = 1 << 30  # largest merged read; Linux reads at most ~2 GiB at once
 
 

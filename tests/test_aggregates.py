@@ -144,6 +144,39 @@ def _zero_group(signs: str):
     return np.zeros(len(signs), np.int64), np.array([-0.0 if c == "-" else 0.0 for c in signs])
 
 
+def _middle_zeros(groups: dict[int, str], extra: int = 0):
+    """Groups of -300.0..-1.0 and 1.0..300.0 around their signed zeros ("-"
+    is -0.0), which sit at each group's middle, the values interleaved group
+    by group in input order, and ``extra`` values 1.0, 2.0, ... in group
+    999."""
+    gids, values = [], []
+    for i in range(300):
+        for gid, signs in groups.items():
+            gids += [gid, gid]
+            values += [-(i + 1.0), float(i + 1)]
+            if i < len(signs):
+                gids.append(gid)
+                values.append(-0.0 if signs[i] == "-" else 0.0)
+    gids += [999] * extra
+    values += [float(v) for v in range(1, extra + 1)]
+    return np.array(gids, np.int64), np.array(values)
+
+
+def _large_groups(ints: bool):
+    """Groups of 2 to 1,001 values in shuffled input order, on both sides of
+    the size from which MEDIAN partitions instead of sorting: int64 values
+    near +-2**62, or normal floats with some +-inf."""
+    rng = np.random.default_rng(3)
+    sizes = [2, 510, 511, 512, 512, 513, 1000, 1001]
+    gids = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    if ints:
+        return gids, rng.integers(-8, 9, len(gids)) + np.where(gids % 2, -(2**62), 2**62)
+    values = rng.standard_normal(len(gids))
+    values[rng.random(len(gids)) < 0.05] = np.inf
+    values[rng.random(len(gids)) < 0.05] = -np.inf
+    return gids, values
+
+
 class TestMedian:
     def test_holistic_result(self):
         agg = default_registry().get("median")
@@ -188,11 +221,25 @@ class TestMedian:
     @given(case=median_cases())
     # groups of signed zeros ("-" is -0.0) whose middle values are -0.0, 0.0;
     # 0.0, -0.0; -0.0, -0.0; and an odd group's -0.0: in each, numpy's
-    # default (SIMD) sort can reorder the zeros
+    # partition can reorder the zeros
     @example(case=_zero_group("++--++--++----+-"))
     @example(case=_zero_group("+-+-++-+---++--+"))
     @example(case=_zero_group("+-+++-+---++--+-"))
     @example(case=_zero_group("---------+----+-+"))
+    # a 604-value group alone in its size class, whose middle values are
+    # its second and third zeros, beside a group of 3; four groups of 604
+    # and one of 603
+    @example(case=_middle_zeros({5: "+--+"}, extra=3))
+    @example(case=_middle_zeros({0: "+--+", 1: "-++-", 2: "+-+-", 3: "--++", 4: "-+-"}))
+    # even int64 groups near +-2**62: l + u is past int64, exact in Python ints
+    @example(
+        case=(
+            np.array([0, 1, 0, 1, 0, 1, 0, 1], np.int64),
+            np.array([9, -9, 3, -3, 5, -5, 7, -1], np.int64) + np.array([2**62, -(2**62)] * 4),
+        )
+    )
+    @example(case=_large_groups(ints=True))
+    @example(case=_large_groups(ints=False))
     def test_holistic_results_are_statistics_median(self, case):
         """The vector hook gives statistics.median of each group's values in
         input order, compared by repr: the same type, the same bits and the

@@ -22,6 +22,7 @@ from aqlmr.engine import (
     SUMMARY_EXT_BYTES,
     Counters,
     Pairs,
+    Runs,
 )
 from aqlmr.predicate import Comparison, ValuePredicate
 from aqlmr.storage import _bands, compute_splits
@@ -555,7 +556,9 @@ class TestMedianRuns:
 def sorted_runs(draw):
     """1-8 map outputs, each one run per group by ascending id, some empty;
     runs of 1-8 rows in some draws and of 50-100 in others, over
-    consecutive ids or with gaps between them."""
+    consecutive ids or with gaps between them (empty runs). Each output is
+    a Runs table and, for the shuffle that sorts, the same rows as Pairs
+    with their run keys expanded."""
     lengths = st.integers(50, 100) if draw(st.booleans()) else st.integers(1, 8)
     consecutive = draw(st.booleans())
     dtype = draw(st.sampled_from([np.float64, np.int64]))
@@ -566,28 +569,38 @@ def sorted_runs(draw):
             gids = list(range(first, first + draw(st.integers(0, 6))))
         else:
             gids = sorted(draw(st.sets(st.integers(3, 40), max_size=6)))
-        sizes = [draw(lengths) for _ in gids]
-        gid = np.repeat(np.array(gids, np.int64), sizes)
-        outputs.append(Pairs(gid, np.arange(n, n + len(gid)).astype(dtype)))
-        n += len(gid)
+        first = gids[0] if gids else 0
+        sizes = np.zeros(gids[-1] - first + 1 if gids else 0, np.int64)
+        sizes[np.array(gids, np.int64) - first] = [draw(lengths) for _ in gids]
+        value = np.arange(n, n + sizes.sum()).astype(dtype)
+        outputs.append(Runs(first, sizes, value))
+        n += len(value)
     return outputs
 
 
 @settings(max_examples=200, deadline=None)
 @given(sorted_runs())
 def test_shuffle_merges_sorted_runs_in_group_order(outputs):
-    gid = np.concatenate([out.gid for out in outputs])
+    pairs = [
+        Pairs(np.repeat(np.arange(out.first, out.first + len(out.lengths)), out.lengths), out.value)
+        for out in outputs
+    ]
+    gid = np.concatenate([out.gid for out in pairs])
     value = np.concatenate([out.value for out in outputs])
     order = group_order(gid)
     plain_counters = Counters()
-    plain = engine.shuffle(outputs, plain_counters, value_bytes=RAW_VALUE_BYTES)
+    plain = engine.shuffle(pairs, plain_counters, value_bytes=RAW_VALUE_BYTES)
     assert plain.lo == (int(gid.min()) if len(gid) else 0)
     assert plain.sizes.tolist() == np.bincount(gid - plain.lo).tolist()
     # merged runs, and the one stable sort of the concatenation
     for runs in (True, False):
         counters = Counters()
         grouped = engine.shuffle(
-            outputs, counters, value_bytes=RAW_VALUE_BYTES, holistic=True, runs=runs
+            outputs if runs else pairs,
+            counters,
+            value_bytes=RAW_VALUE_BYTES,
+            holistic=True,
+            runs=runs,
         )
         assert counters == plain_counters
         assert grouped.lo == plain.lo
@@ -596,7 +609,7 @@ def test_shuffle_merges_sorted_runs_in_group_order(outputs):
         assert grouped.rows.value.tolist() == value[order].tolist()
         assert grouped.rows.value.dtype == value.dtype
         assert list(grouped) == list(plain)
-    for out in outputs:  # the shuffle copies: the map outputs are left as they were
+    for out in pairs:  # the shuffle copies: the map outputs are left as they were
         assert np.all(out.gid >= 3)
 
 

@@ -288,8 +288,12 @@ OFF_CENTRE = make_geometry(
 def test_pairs_are_block_pairs_in_stable_group_order(case):
     geom, region, keep = case
     membership = build_membership(geom)
-    cells, gids = membership.pairs(region, keep)
-    assert cells.dtype == gids.dtype == np.int64
+    # a block whose values are the cells' row-major offsets
+    offsets = np.arange(region.cell_count).reshape(region.shape)
+    cells, first, lengths = membership.pairs(region, offsets, keep)
+    assert cells.dtype == lengths.dtype == np.int64
+    assert lengths.sum() == len(cells) and np.all(lengths > 0)
+    gids = np.repeat(np.arange(first, first + len(lengths)), lengths)
     block_cells, block_gids = membership.block(region, keep)
     order = np.argsort(block_gids, kind="stable")
     assert cells.tolist() == block_cells[order].tolist()
