@@ -12,23 +12,24 @@ second accumulator (STDDEV's sum of squared deviations, custom ones) use the
 ext slot.
 
 The engine works on whole columns through four vector hooks: fold_groups
-(update_in_map for every (group, value) pair of a map task), merge_groups
-(update_in_reduce for every summary row of the shuffle), group_results
-(get_agg_result per group) and holistic_results (holistic_result per
-group). A reducer's rows come grouped by the shuffle: their ids are slots
-0..len(sizes)-1 and ``sizes``, passed to fold_groups, merge_groups and
-holistic_results, counts the rows of each slot, so a hook need not group
-them again. holistic_results gets the values alone (its gids are None), in
-slot order: the shuffle merges the naive map's sorted runs or sorts the
-values once, and the hook reads each group as one slice. The base class
-derives each hook from the scalar hooks with a loop, so an aggregator that
-defines only the scalar hooks runs in both modes. Only custom aggregators
-take that loop: the built-ins (builtin_aggregates.py) override the vector
-hooks with numpy, derived from the ``combine`` kind a built-in declares
-(sum, count, minimum or maximum), which also lets the optimized sliding and
-grid maps compute every window's or block's summary with a kernel
-(window_aggregate, called by grouping's sliding fold and grid band fold)
-instead of fold_groups.
+(update_in_map for every (group, value) pair), merge_groups
+(update_in_reduce for every summary row), group_results (get_agg_result per
+group) and holistic_results (holistic_result per group). Every hook gets its
+rows grouped, whether a map task folds them or a reducer: their ids are
+slots 0..len(sizes)-1, and ``sizes``, a required argument of fold_groups,
+merge_groups and holistic_results, counts the rows of each slot, so no hook
+groups them itself. The shuffle groups a reducer's rows and
+Membership.fold a map task's, both through _span. holistic_results gets the
+values alone, in slot order (the shuffle merges the naive map's sorted runs,
+or the reduce sorts the values once), and reads each group as one slice.
+The base class derives each hook from the scalar hooks with a loop, so an
+aggregator that defines only the scalar hooks runs in both modes. Only
+custom aggregators take that loop: the built-ins (builtin_aggregates.py)
+override the vector hooks with numpy, derived from the ``combine`` kind a
+built-in declares (sum, count, minimum or maximum), which also lets the
+optimized sliding and grid maps compute every window's or block's summary
+with a kernel (window_aggregate, called by grouping's sliding fold and grid
+band fold) instead of fold_groups.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 
 class AggregateError(Exception):
-    group: int | None = None  # the group being aggregated, when known (a reducer: its slot)
+    group: int | None = None  # the slot of the group being aggregated, when known
 
 
 class AggregateDomainError(AggregateError):
@@ -114,12 +115,15 @@ def _in_group(exc: AggregateError, gid) -> AggregateError:
     return exc
 
 
-def _span(gids: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Group ids, in any order, as slots of the range they span: (lo, each
-    input's slot gid - lo, the rows in each slot)."""
+def _span(gids: np.ndarray) -> tuple[int, np.ndarray]:
+    """Turn group ids, in any order, into slots of the range they span, in
+    place (each id minus the smallest, ``lo``): (lo, the rows in each
+    slot)."""
+    if not len(gids):
+        return 0, np.zeros(0, np.int64)
     lo = int(gids.min())
-    row = gids - lo
-    return lo, row, np.bincount(row)
+    gids -= lo
+    return lo, np.bincount(gids)
 
 
 class Aggregator:
@@ -151,16 +155,14 @@ class Aggregator:
     def holistic_result(self, values: Sequence[float | int]) -> float | int | None:
         raise AggregateError(f"{self.name} has no holistic evaluation")
 
-    def fold_groups(
-        self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray | None = None
-    ) -> Summaries:
+    def fold_groups(self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> Summaries:
         """update_in_map of each value into its group's summary, in input
-        order: one row per group present, by ascending id. With ``sizes``,
-        the ids are slots and sizes[s] the rows of slot s (the scalar loop
-        finds its groups itself and ignores it)."""
+        order: one row per group present, by ascending id. The ids are slots
+        and sizes[s] the rows of slot s (the scalar loop finds its groups
+        itself and ignores it)."""
         return self._accumulate(gids.tolist(), values.tolist(), self.update_in_map)
 
-    def merge_groups(self, table: Summaries, sizes: np.ndarray | None = None) -> Summaries:
+    def merge_groups(self, table: Summaries, sizes: np.ndarray) -> Summaries:
         """update_in_reduce of each group's rows, in row order: one row per
         group present, by ascending id. ``sizes`` as for fold_groups."""
         return self._accumulate(table.gid.tolist(), table.rows(), self.update_in_reduce)
@@ -182,28 +184,19 @@ class Aggregator:
         """get_agg_result of each row."""
         return [self.get_agg_result(s) for s in table.rows()]
 
-    def holistic_results(
-        self, gids: np.ndarray | None, values: np.ndarray, sizes: np.ndarray | None = None
-    ) -> list:
-        """holistic_result of each group's values, in input order, for each
-        group by ascending id. With ``sizes`` (the reduce), ``gids`` is None
-        and the values come grouped: sizes[s] of them for each slot s, by
-        ascending slot."""
-        lo = 0
-        if sizes is None:
-            if not len(gids):
-                return []
-            lo, gids, sizes = _span(gids)
-            values = values[group_order(gids)]
+    def holistic_results(self, values: np.ndarray, sizes: np.ndarray) -> list:
+        """holistic_result of each group's values, for each slot some value
+        reaches, by ascending slot: the values come grouped, sizes[s] of
+        them for each slot s, in input order within a slot."""
         vals = values.tolist()
         present = np.flatnonzero(sizes)
         ends = np.cumsum(sizes[present]).tolist()
         out = []
-        for gid, a, b in zip((present + lo).tolist(), [0, *ends], ends):
+        for slot, a, b in zip(present.tolist(), [0, *ends], ends):
             try:
                 out.append(self.holistic_result(vals[a:b]))
             except AggregateError as exc:
-                raise _in_group(exc, gid)
+                raise _in_group(exc, slot)
         return out
 
 

@@ -45,7 +45,6 @@ from .aggregates import (
     Summaries,
     _counts,
     _in_group,
-    _span,
     group_order,
 )
 
@@ -147,7 +146,7 @@ class _Columnar(Aggregator):
         _reject_nan(gids, values)
         return values
 
-    def fold_groups(self, gids: np.ndarray, values: np.ndarray, sizes=None) -> Summaries:
+    def fold_groups(self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> Summaries:
         values = self.lift(gids, values)
         ext = np.zeros(len(values)) if self.uses_ext else None
         return self.merge_groups(Summaries(gids, values, np.ones(len(values)), ext), sizes)
@@ -182,17 +181,14 @@ class _Columnar(Aggregator):
         before lift: a value whose lift is the start value."""
         return _start(self.combine, dtype)
 
-    def merge_groups(self, table: Summaries, sizes=None) -> Summaries:
+    def merge_groups(self, table: Summaries, sizes: np.ndarray) -> Summaries:
         if not len(table):
             return table
-        lo, row = 0, table.gid
-        if sizes is None:  # a map task's rows: group them here
-            lo, row, sizes = _span(row)
         present = np.flatnonzero(sizes)
-        merged = self._merge(row, len(sizes), table)
+        merged = self._merge(table.gid, len(sizes), table)
         if len(present) < len(sizes):  # some slot is empty: keep the others
             merged = (None if c is None else c[present] for c in merged)
-        return Summaries(present + lo, *merged)
+        return Summaries(present, *merged)
 
     def _merge(self, row: np.ndarray, size: int, table: Summaries):
         """The merged (aggregate, count, ext) columns of a table, indexed by
@@ -352,15 +348,14 @@ class Median(Aggregator):
 
     The vector reduce gives statistics.median of each group, bit for bit.
     Its values come in group order, each group's in input order (the
-    shuffle merges the map's sorted runs, or sorts the values once, stably),
-    with the group sizes the shuffle counted; without ``sizes`` it groups
-    them itself, by a stable group_order. Then _middles takes the lower
-    and upper middle values of all groups of one size, the rows of one 2-D
-    block, with one call per distinct size, not per group: np.partition
-    selects them in large groups, numpy's default sort orders small ones.
-    Neither is stable, and among equal floats only -0.0 and 0.0 differ, so
-    in a column that holds both, a group whose middle value is a zero
-    re-reads its middle values from a stable sort of its input-ordered
+    shuffle merges the map's sorted runs, or the reduce sorts the values
+    once, stably), with the group sizes the shuffle counted. _middles takes
+    the lower and upper middle values of all groups of one size, the rows
+    of one 2-D block, with one call per distinct size, not per group:
+    np.partition selects them in large groups, numpy's default sort orders
+    small ones. Neither is stable, and among equal floats only -0.0 and 0.0
+    differ, so in a column that holds both, a group whose middle value is a
+    zero re-reads its middle values from a stable sort of its input-ordered
     values, as sorted() does."""
 
     name = "median"
@@ -382,20 +377,16 @@ class Median(Aggregator):
             _check_value(v)
         return statistics.median(values)
 
-    def holistic_results(self, gids: np.ndarray | None, values: np.ndarray, sizes=None) -> list:
-        """statistics.median of each group, by ascending id (see the class
+    def holistic_results(self, values: np.ndarray, sizes: np.ndarray) -> list:
+        """statistics.median of each group, by ascending slot (see the class
         docstring)."""
         if not len(values):
             return []
-        lo = 0
-        if sizes is None:
-            lo, gids, sizes = _span(gids)
-            values = values[group_order(gids)]
         if values.dtype.kind == "f":
             bad = np.isnan(values)
             if bad.any():  # the lowest group with a NaN holds the first one
                 slot = np.searchsorted(np.cumsum(sizes), bad.argmax(), "right")
-                raise _in_group(AggregateDataError("NaN value in input"), lo + slot)
+                raise _in_group(AggregateDataError("NaN value in input"), slot)
         n = sizes[sizes > 0]
         starts = np.cumsum(n) - n
         lower, upper = _middles(values, starts, n)

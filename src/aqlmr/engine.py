@@ -2,27 +2,24 @@
 
 A job runs as one serial pass over whole columns: the splits are read and
 mapped a band at a time (storage.read_bands), in split order, the shuffle
-concatenates the map outputs in that order, and the reduce folds every
-group at once, adding rows into each group in (split, emission) order, so
-results are the same from run to run.
-The shuffle groups the rows once: it turns their group ids into slots (id
-minus the smallest id) and counts the rows of each slot with one bincount.
-Every reducer reads that grouping (the slots and their sizes) and groups
-nothing again.
-A holistic reducer (MEDIAN) reads each group's values side by side, so
-for it the shuffle hands over the values alone, in group order, keeping
-(split, emission) order within a group. As a MapReduce map task sorts its
-output by key and the reducer merges the sorted runs, a naive map for a
-holistic aggregator emits its pairs group by group where the membership
-builds them so without sorting (Membership.pairs of nested rings), and the
-shuffle merges those runs, one slice copy per run. Such an output keeps
-run-length keys (Runs: its first group id and the length of each group's
-run), as a sort-merge shuffle keeps a run index beside each sorted spill
-instead of a key per record; the merge finds each run's bounds from the
-lengths' cumulative sums. Elsewhere a sort per split would cost more than
-one over the job's rows: those maps emit the cell-major pairs and the
-shuffle sorts the values by group once.
-Algebraic reducers sum in row order and need no grouping.
+groups the map outputs, and the reduce folds every group at once, adding
+rows into each group in (split, emission) order, so results are the same
+from run to run. Each stage reads the form of its input, never a flag. A
+map emits what its membership builds: as a MapReduce map task sorts its
+output by key, a naive map emits its pairs group by group where the
+membership builds them so without sorting (Membership.pairs of nested
+rings), keyed by run lengths (Runs: its first group id and the length of
+each group's run), as a sort-merge shuffle keeps a run index beside each
+sorted spill instead of a key per record; elsewhere it emits cell-major
+pairs, or summaries when optimized. The shuffle merges Runs, one slice copy
+per run, into the values alone in group order, finding each run's bounds
+from the lengths' cumulative sums; other outputs it concatenates, turning
+their group ids into slots (id minus the smallest id) and counting the
+rows of each slot with one bincount. Every reducer reads that grouping (the
+slots and their sizes) and groups nothing again: an algebraic reducer of
+merged runs rebuilds its slot column from the sizes, and a holistic one
+(MEDIAN), which reads each group's values side by side, gets them alone in
+slot order, sorted stably by the reduce when they came cell-major.
 run_job still accepts and validates a ``workers`` count, so callers written
 for a parallel engine keep working, but it does not change execution: results
 and counters are the same for any value.
@@ -43,7 +40,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .aggregates import AggregateError, Aggregator, Summaries, group_order
+from .aggregates import AggregateError, Aggregator, Summaries, _span, group_order
 from .grouping import Membership, build_membership
 from .planner import JobPlan
 from .storage import ArraySplit, Band, StoreError, compute_splits, read_bands, read_block
@@ -88,8 +85,8 @@ class JobResult:
 @dataclass
 class Pairs:
     """(group id, raw value) rows in columns, as a naive map task emits them
-    cell-major. The shuffle's values for a holistic reducer come in group
-    order without a gid column (None): its sizes say which rows hold which
+    cell-major. The shuffle's merge of Runs gives values in group order
+    without a gid column (None): its sizes say which rows hold which
     slot."""
 
     gid: np.ndarray | None
@@ -150,21 +147,20 @@ def _map_block(
     membership: Membership,
     agg: Aggregator | None,
     counters: Counters,
-    runs: bool = False,
 ) -> Pairs | Runs | Summaries:
-    """One map task on its read block: without ``agg`` (naive), one (group
-    id, value) pair per group each kept cell belongs to, cell-major, or with
-    ``runs`` the values in one run per group by ascending id, keyed by run
-    lengths (``membership.pairs``); with it (optimized), one summary per
-    group seen in the split."""
-    if agg is None and runs:
+    """One map task on its read block: with ``agg`` (optimized), one summary
+    per group seen in the split; without it (naive), one (group id, value)
+    pair per group each kept cell belongs to, as the membership builds them:
+    one run per group by ascending id, keyed by run lengths, where it gives
+    them so (``membership.pairs``), else cell-major."""
+    if agg is not None:
+        out = membership.fold(split.region, block, keep, agg)
+    elif membership.pairs is not None:
         values, first, lengths = membership.pairs(split.region, block, keep)
         out = Runs(first, lengths, values)
-    elif agg is None:
+    else:
         cells, gids = membership.block(split.region, keep)
         out = Pairs(gids, block.ravel()[cells])
-    else:
-        out = membership.fold(split.region, block, keep, agg)
     counters.add("map_output_records", len(out))
     return out
 
@@ -178,11 +174,10 @@ def _map_band(
     membership: Membership,
     agg: Aggregator | None,
     counters: Counters,
-    runs: bool = False,
 ) -> list[Pairs | Runs | Summaries]:
     """The map tasks of a band's splits: the membership's band fold where it
     gives one (optimized), which holds every split's rows in split order,
-    else each split's own task on its block (``runs`` as for _map_block)."""
+    else each split's own task on its block."""
     folded = None if agg is None else membership.fold_band(band, agg)
     if folded is not None:
         counters.add("map_output_records", len(folded))
@@ -190,7 +185,7 @@ def _map_band(
     outputs = []
     for split, block, keep in band.blocks():
         try:
-            outputs.append(_map_block(split, block, keep, membership, agg, counters, runs))
+            outputs.append(_map_block(split, block, keep, membership, agg, counters))
         except AggregateError as exc:
             raise _task_error(split, exc) from exc
     return outputs
@@ -201,7 +196,7 @@ def naive_map(
     membership: Membership,
     predicate,
     counters: Counters,
-) -> Pairs:
+) -> Pairs | Runs:
     """Emit one (group id, value) pair per group the cell belongs to."""
     block, keep = read_block(split, predicate, counters)
     return _map_block(split, block, keep, membership, None, counters)
@@ -224,11 +219,10 @@ class Shuffled:
     """The shuffle's output, grouped once: every map output row (Pairs or
     Summaries) in (split, emission) order, with its group id turned into a
     slot (``gid - lo``, ``lo`` the smallest id), and ``sizes[s]``, the rows
-    in slot s. For a holistic reducer the rows are Pairs of values alone
-    (``gid`` None) in slot order instead. Iterating puts the rows in group
-    order and yields (gid, items) for each group by ascending id, items
-    being raw values (naive) or AggSummary objects (optimized) in (split,
-    emission) order."""
+    in slot s. Merged runs are Pairs of values alone (``gid`` None) in slot
+    order instead. Iterating puts the rows in group order and yields (gid,
+    items) for each group by ascending id, items being raw values (naive) or
+    AggSummary objects (optimized) in (split, emission) order."""
 
     rows: Pairs | Summaries
     lo: int
@@ -282,28 +276,21 @@ def shuffle(
     counters: Counters,
     *,
     value_bytes: int,
-    holistic: bool = False,
-    runs: bool = False,
 ) -> Shuffled:
     """Group map outputs by key.
 
     Inputs arrive ordered by split and keep that order, so each group's rows
-    are ordered by (split, emission order). For a ``holistic`` reducer the
-    shuffle hands over the values alone, in group order: with ``runs``, each
-    output is a Runs table, one run per group by ascending id (a naive map's
-    ``Membership.pairs``), and the runs are merged; without it the values
-    are put in order by one stable sort by group.
+    are ordered by (split, emission order). Runs tables, one run per group
+    by ascending id each (a naive map's ``Membership.pairs``), are merged
+    into the values alone, in group order; other tables are concatenated,
+    their ids turned into slots.
     """
-    if runs:
+    if isinstance(map_outputs[0], Runs):
         grouped = Shuffled(*_merge(map_outputs))
     else:
         rows = _concat(map_outputs)
-        lo = int(rows.gid.min()) if len(rows) else 0
-        rows.gid -= lo  # the concatenation is the shuffle's own copy
-        sizes = np.bincount(rows.gid)
-        if holistic:
-            rows = Pairs(None, rows.value[group_order(rows.gid)])
-        grouped = Shuffled(rows, lo, sizes)
+        # the concatenation is the shuffle's own copy, made slots in place
+        grouped = Shuffled(rows, *_span(rows.gid))
     counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(grouped.rows))
     counters.add("shuffle_groups", len(grouped))
     return grouped
@@ -333,16 +320,21 @@ def summary_value_bytes(agg: Aggregator) -> int:
 def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list:
     """The result of every slot some row reaches, by ascending slot."""
     if isinstance(rows, Summaries):
-        return agg.group_results(agg.merge_groups(rows, sizes))
-    if not agg.algebraic:  # the shuffle put the values in slot order
-        return agg.holistic_results(None, rows.value, sizes)
+        return agg.group_results(agg.merge_groups(rows, sizes=sizes))
+    gid, value = rows.gid, rows.value
+    if not agg.algebraic:  # the values alone, side by side in slot order
+        if gid is not None:
+            value = value[group_order(gid)]
+        return agg.holistic_results(value, sizes=sizes)
+    if gid is None:  # merged runs: each slot's rows lie together
+        gid = np.repeat(np.arange(len(sizes)), sizes)
     try:
-        folded = agg.fold_groups(rows.gid, rows.value, sizes)
+        folded = agg.fold_groups(gid, value, sizes=sizes)
     except AggregateError:
         # a reducer folds group by group and meets the lowest group's bad
         # value first: fold again in stable group order to raise that one
-        order = group_order(rows.gid)
-        agg.fold_groups(rows.gid[order], rows.value[order], sizes)
+        order = group_order(gid)
+        agg.fold_groups(gid[order], value[order], sizes=sizes)
         raise
     return agg.group_results(folded)
 
@@ -367,17 +359,13 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
 
     t0 = time.perf_counter()
     map_agg = agg if plan.mode == "optimized" else None
-    # a holistic reducer reads its values in group order: the shuffle merges
-    # the runs of pairs a membership builds group-major, else sorts once
-    holistic = not agg.algebraic
-    runs = holistic and membership.pairs is not None
     map_outputs = []
     mapped = 0  # splits mapped so far: a failed read names the next one
     # closed at once when a map task raises, not when its traceback is freed
     with closing(read_bands(splits, plan.query.predicate, counters)) as bands:
         try:
             for band in bands:
-                map_outputs += _map_band(band, membership, map_agg, counters, runs)
+                map_outputs += _map_band(band, membership, map_agg, counters)
                 mapped += len(band.splits)
                 del band  # before the next band is read, and through the reduce
         except StoreError as exc:
@@ -385,9 +373,7 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     t1 = time.perf_counter()
 
     value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
-    grouped = shuffle(
-        map_outputs, counters, value_bytes=value_bytes, holistic=holistic, runs=runs
-    )
+    grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
     rows, lo, sizes = grouped.rows, grouped.lo, grouped.sizes
     del map_outputs, grouped  # the shuffled rows are a copy
     t2 = time.perf_counter()

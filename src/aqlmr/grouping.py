@@ -31,20 +31,22 @@ ring (box corners exceed the inscribed radius) belong to no group.
 
 A compiled Membership defines each shape's membership once, for a whole
 region at a time (the engine's map), from per-dimension index ranges
-broadcast over the region: no per-cell Python work. One cell (groups_of) is
-the one-cell region. Its pairs come cell-major (block); nested rings also
+broadcast over the region: no per-cell Python work. Each shape's subclass
+(_Grid, _Windows, _Rings, _NestedRings) overrides block, whose pairs come
+cell-major; one cell (groups_of) is the one-cell region. Nested rings also
 give the values of their pairs group-major (pairs), built without a sort,
-ring k being the cells whose own ring is k or less, which a naive map for a
-holistic aggregator emits so that the shuffle merges sorted runs. Those
-runs keep their group ids as run-length keys, the first group id and the
-length of each group's run, and no id per pair; they repeat values
+ring k being the cells whose own ring is k or less, which a naive map
+emits, whatever the aggregate, so that the shuffle merges sorted runs.
+Those runs keep their group ids as run-length keys, the first group id and
+the length of each group's run, and no id per pair; they repeat values
 gathered once per split, not cell offsets.
 
 The optimized map folds a band through Membership.fold_band, which grids
 override, or else each split's region through Membership.fold, which by
-default folds those (cell, group) pairs. Sliding windows derive, once per
-region, a table of the windows that reach it; the pairs come from it, and
-for the built-ins that declare a combine kind so does the fold: the aggregator's
+default groups those (cell, group) pairs once, as the shuffle groups a
+reducer's rows, and folds them. Sliding windows derive, once per region, a
+table of the windows that reach it; the pairs come from it, and for the
+built-ins that declare a combine kind so does the fold: the aggregator's
 window_aggregate combines each window's cells with _slide, one shifted
 in-place ufunc call per window offset and dimension, so the work per cell
 grows with the window's width and not with its area. Nothing is subtracted,
@@ -62,7 +64,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
-from .aggregates import Summaries
+from .aggregates import Summaries, _span
 from .storage import BoundingBox
 
 if TYPE_CHECKING:
@@ -189,6 +191,7 @@ class Membership:
     """A geometry's membership, compiled once per job: ``block`` gives every
     membership of a region's cells at once, cell-major (the optimized
     fold's errors name the value that a cell-by-cell fold meets first).
+    Each shape's subclass defines it.
 
     Called with a coordinate, it is ``block`` over that one cell: the cell's
     group ids, ascending row-major for sliding windows and from the cell's
@@ -197,17 +200,16 @@ class Membership:
 
     # the values of ``block``'s pairs group-major, as (values, first group
     # id, run length per group), where a membership builds them so without
-    # sorting (nested rings: _NestedRings.pairs); a naive map for a
-    # holistic aggregator emits them, and elsewhere the shuffle sorts once
+    # sorting (nested rings: _NestedRings.pairs); a naive map emits them
+    # when it is set, so that the shuffle merges sorted runs
     pairs = None
 
-    def __init__(self, box: BoundingBox, block) -> None:
+    def __init__(self, box: BoundingBox) -> None:
         self._box = box
-        self._block = block
 
     def __call__(self, coord: tuple[int, ...]) -> tuple[int, ...]:
         region = self._box.intersect(BoundingBox(coord, coord))
-        return () if region is None else tuple(self._block(region, None)[1].tolist())
+        return () if region is None else tuple(self.block(region)[1].tolist())
 
     def block(
         self, region: BoundingBox, keep: np.ndarray | None = None
@@ -217,16 +219,20 @@ class Membership:
         row-major offsets into the region; within one group they ascend, and
         the first pair of a cell comes before the first pair of every later
         cell."""
-        return self._block(region, keep)
+        raise NotImplementedError
 
     def fold(
         self, region: BoundingBox, block: np.ndarray, keep: np.ndarray | None, agg: "Aggregator"
     ) -> Summaries:
         """``agg``'s summary of every group the kept cells of ``block`` (the
-        region's values) reach, by ascending group id. A kernel may
-        overwrite the cells of ``block`` that ``keep`` drops."""
+        region's values) reach, by ascending group id: the pairs of
+        ``self.block``, grouped as the shuffle groups a reducer's rows. A
+        kernel may overwrite the cells of ``block`` that ``keep`` drops."""
         cells, gids = self.block(region, keep)
-        return agg.fold_groups(gids, block.ravel()[cells])
+        lo, sizes = _span(gids)  # gids is this fold's own column
+        folded = agg.fold_groups(gids, block.ravel()[cells], sizes=sizes)
+        folded.gid = folded.gid + lo
+        return folded
 
     def fold_band(self, band: "Band", agg: "Aggregator") -> Summaries | None:
         """``agg``'s summaries of every split of the band at once: each
@@ -245,7 +251,7 @@ class _Windows(Membership):
     takes where the aggregator gives no aggregate."""
 
     def __init__(self, box: BoundingBox, lattice: tuple[WindowAxis, ...]) -> None:
-        super().__init__(box, self._pairs)
+        super().__init__(box)
         self._lattice = lattice
         self._counts = [w.count for w in lattice]
         # the most cells a window holds
@@ -275,7 +281,7 @@ class _Windows(Membership):
             axes.append((centers, first, count, shifts))
         return axes
 
-    def _pairs(self, region: BoundingBox, keep):
+    def block(self, region, keep=None):
         # per dimension, (center index, position) pairs window by window;
         # every combination across dimensions is one membership
         axes = self._axes(region)
@@ -332,12 +338,12 @@ class _Grid(Membership):
     dropped."""
 
     def __init__(self, box: BoundingBox, lattice: tuple[WindowAxis, ...]) -> None:
-        super().__init__(box, self._pairs)
+        super().__init__(box)
         self._lattice = lattice
         self._counts = [w.count for w in lattice]
         self._cells = prod(w.stride for w in lattice)  # the most cells a block holds
 
-    def _pairs(self, region: BoundingBox, keep):
+    def block(self, region, keep=None):
         axes = [
             _floor_div(a - l, b - l, w.stride)
             for a, b, l, w in zip(region.lo, region.hi, self._box.lo, self._lattice)
@@ -471,17 +477,19 @@ def _ring_members(geom: GroupGeometry, region: BoundingBox, keep):
     return cells, ring[at], rings[at]
 
 
-def _ring_pairs(geom: GroupGeometry, region: BoundingBox, keep):
-    """Membership pairs of ring geometries, each cell expanded into its rings."""
-    return _expand(*_ring_members(geom, region, keep))
-
-
-class _NestedRings(Membership):
-    """Nested ring membership, which also gives its pairs group-major."""
+class _Rings(Membership):
+    """Ring membership: each kept cell expanded into its rings."""
 
     def __init__(self, geom: GroupGeometry) -> None:
-        super().__init__(geom.box, partial(_ring_pairs, geom))
+        super().__init__(geom.box)
         self._geom = geom
+
+    def block(self, region, keep=None):
+        return _expand(*_ring_members(self._geom, region, keep))
+
+
+class _NestedRings(_Rings):
+    """Nested ring membership, which also gives its pairs group-major."""
 
     def pairs(
         self, region: BoundingBox, block: np.ndarray, keep: np.ndarray | None = None
@@ -513,9 +521,7 @@ def build_membership(geom: GroupGeometry) -> Membership:
     """Compile the membership function once for a job."""
     box, lattice = geom.box, geom.lattice
     if lattice is None:
-        if geom.params.mode == "nested":
-            return _NestedRings(geom)
-        return Membership(box, partial(_ring_pairs, geom))
+        return (_NestedRings if geom.params.mode == "nested" else _Rings)(geom)
     if geom.kind == "sliding":
         return _Windows(box, lattice)
     return _Grid(box, lattice)

@@ -11,9 +11,9 @@ one positioned read per run of rows that lie next to each other in the file.
 The data file is opened and its size checked against the metadata once per
 job, and every read checks that it got all its bytes. The value filter is
 applied to each band at once. read_bands yields each band with the
-filter's mask over it, for the engine; read_blocks cuts each split's block
-and mask from the bands; read_block reads one split; read_split yields the
-kept cells one record at a time.
+filter's mask over it, and Band.blocks cuts each split's block and mask from
+it, for the engine; read_block reads one split as a band of its own;
+read_split yields the kept cells one record at a time.
 """
 
 from __future__ import annotations
@@ -145,10 +145,16 @@ class BoundingBox:
     def cell_count(self) -> int:
         return prod(self.shape)
 
+    def _check_ndim(self, what: str, ndim: int) -> None:
+        if ndim != self.ndim:
+            raise ValueError(f"a {what} of {ndim} dimensions against a box of {self.ndim}")
+
     def contains(self, coord: tuple[int, ...]) -> bool:
+        self._check_ndim("coordinate", len(coord))
         return all(l <= c <= h for c, l, h in zip(coord, self.lo, self.hi))
 
     def intersect(self, other: "BoundingBox") -> "BoundingBox | None":
+        self._check_ndim("box", other.ndim)
         lo = tuple(max(a, b) for a, b in zip(self.lo, other.lo))
         hi = tuple(min(a, b) for a, b in zip(self.hi, other.hi))
         if any(l > h for l, h in zip(lo, hi)):
@@ -494,31 +500,16 @@ def read_bands(
             del data, keep  # before the next band is read
 
 
-def read_blocks(
-    splits: Sequence[ArraySplit],
-    predicate: ValuePredicate | None = None,
-    counters: "Counters | None" = None,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Each split's region as an n-d array, and the predicate's mask over it
-    (None without a predicate), in split order, cut from the bands
-    read_bands reads (see Band.blocks), with its counters. Close the
-    iterator to close the file before it is exhausted."""
-    with closing(read_bands(splits, predicate, counters)) as bands:
-        for band in bands:
-            blocks = band.blocks()
-            del band  # the blocks hold the band until its last block is cut
-            for _, block, keep in blocks:
-                yield block, keep
-
-
 def read_block(
     split: ArraySplit,
     predicate: ValuePredicate | None = None,
     counters: "Counters | None" = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """One split's block and mask, as read_blocks gives them."""
-    with closing(read_blocks([split], predicate, counters)) as blocks:
-        return next(blocks)
+    """One split's block and mask, read as the band of that split alone
+    (see read_bands), with its counters."""
+    with closing(read_bands([split], predicate, counters)) as bands:
+        band = next(bands)
+        return band.data, band.keep
 
 
 def read_split(

@@ -18,6 +18,7 @@ from aqlmr import (
     default_registry,
     register_aggregator,
 )
+from aqlmr.aggregates import _span, group_order
 from oracles import aggregate_direct
 
 ALGEBRAIC = ("sum", "count", "avg", "min", "max", "stddev", "geomean")
@@ -177,6 +178,15 @@ def _large_groups(ints: bool):
     return gids, values
 
 
+def grouped(gids: np.ndarray, values: np.ndarray):
+    """The values in stable group order and the rows of each slot, as the
+    engine hands a holistic reducer its values: ids made slots by _span,
+    then sorted by group_order."""
+    slots = gids.copy()
+    _, sizes = _span(slots)
+    return values[group_order(slots)], sizes
+
+
 class TestMedian:
     def test_holistic_result(self):
         agg = default_registry().get("median")
@@ -199,7 +209,7 @@ class TestMedian:
 
 
     def test_group_sort_on_either_side_of_uint16(self):
-        """Group ids below 2**16 sort as uint16, larger ones as int64: the
+        """Slots below 2**16 sort as uint16, larger ones as int64: the
         medians of the same groups come out equal and in the same order, for
         MEDIAN's vector hook and the base class's per-group loop."""
         rng = np.random.default_rng(6)
@@ -212,8 +222,10 @@ class TestMedian:
             want = [
                 statistics.median(values[gids == g].tolist()) for g in sorted(set(gids.tolist()))
             ]
-            assert list(map(repr, agg.holistic_results(gids, values))) == list(map(repr, want))
-            assert list(map(repr, Aggregator.holistic_results(agg, gids, values))) == list(map(repr, want))
+            got = agg.holistic_results(*grouped(gids, values))
+            assert list(map(repr, got)) == list(map(repr, want))
+            got = Aggregator.holistic_results(agg, *grouped(gids, values))
+            assert list(map(repr, got)) == list(map(repr, want))
             results.append(want)
         assert results[0] == results[1]
 
@@ -248,7 +260,7 @@ class TestMedian:
         want = [
             statistics.median(values[gids == g].tolist()) for g in sorted(set(gids.tolist()))
         ]
-        got = default_registry().get("median").holistic_results(gids, values)
+        got = default_registry().get("median").holistic_results(*grouped(gids, values))
         assert list(map(repr, got)) == list(map(repr, want))
 
 
@@ -385,11 +397,17 @@ def law_cases(draw):
 
 def results_or_error(fold, merge, finish, gids, values, cut):
     """Fold each side of the cut, merge the two tables, finish: (group ids,
-    results), or the error's (type, message, group)."""
+    results), or the error's (type, message, group). Ids 0..3 are their own
+    slots: each hook gets its rows grouped, with the sizes of slots 0 to the
+    largest id."""
     try:
-        left, right = fold(gids[:cut], values[:cut]), fold(gids[cut:], values[cut:])
+        left, right = (
+            fold(g, v, sizes=np.bincount(g))
+            for g, v in ((gids[:cut], values[:cut]), (gids[cut:], values[cut:]))
+        )
         columns = ([p.gid, p.aggregate, p.count] for p in (left, right))
-        table = merge(Summaries(*map(np.concatenate, zip(*columns))))
+        table = Summaries(*map(np.concatenate, zip(*columns)))
+        table = merge(table, sizes=np.bincount(table.gid))
         return table.gid.tolist(), finish(table)
     except (AggregateError, OverflowError) as exc:  # OverflowError: GEOMEAN's math.exp
         return type(exc), str(exc), getattr(exc, "group", None)

@@ -3,11 +3,12 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import aqlmr.engine as engine
 from aqlmr import (
+    Aggregator,
     EngineError,
     analyze,
     parse,
@@ -25,7 +26,9 @@ from aqlmr.engine import (
     Runs,
 )
 from aqlmr.predicate import Comparison, ValuePredicate
-from aqlmr.storage import _bands, compute_splits
+from aqlmr.grouping import build_membership
+from aqlmr.storage import _bands, compute_splits, read_block
+from conftest import build_array
 from oracles import (
     apply_predicate,
     assert_close,
@@ -557,7 +560,7 @@ def sorted_runs(draw):
     """1-8 map outputs, each one run per group by ascending id, some empty;
     runs of 1-8 rows in some draws and of 50-100 in others, over
     consecutive ids or with gaps between them (empty runs). Each output is
-    a Runs table and, for the shuffle that sorts, the same rows as Pairs
+    a Runs table and, for the reduce that sorts, the same rows as Pairs
     with their run keys expanded."""
     lengths = st.integers(50, 100) if draw(st.booleans()) else st.integers(1, 8)
     consecutive = draw(st.booleans())
@@ -578,6 +581,17 @@ def sorted_runs(draw):
     return outputs
 
 
+class HolisticSpy(Aggregator):
+    """A holistic aggregator that keeps what its reducer is handed."""
+
+    name = "spy"
+    algebraic = False
+
+    def holistic_results(self, values, sizes):
+        self.got = values, sizes
+        return []
+
+
 @settings(max_examples=200, deadline=None)
 @given(sorted_runs())
 def test_shuffle_merges_sorted_runs_in_group_order(outputs):
@@ -592,26 +606,113 @@ def test_shuffle_merges_sorted_runs_in_group_order(outputs):
     plain = engine.shuffle(pairs, plain_counters, value_bytes=RAW_VALUE_BYTES)
     assert plain.lo == (int(gid.min()) if len(gid) else 0)
     assert plain.sizes.tolist() == np.bincount(gid - plain.lo).tolist()
-    # merged runs, and the one stable sort of the concatenation
-    for runs in (True, False):
-        counters = Counters()
-        grouped = engine.shuffle(
-            outputs if runs else pairs,
-            counters,
-            value_bytes=RAW_VALUE_BYTES,
-            holistic=True,
-            runs=runs,
-        )
-        assert counters == plain_counters
-        assert grouped.lo == plain.lo
-        assert grouped.sizes.tolist() == plain.sizes.tolist()
-        assert grouped.rows.gid is None
-        assert grouped.rows.value.tolist() == value[order].tolist()
-        assert grouped.rows.value.dtype == value.dtype
-        assert list(grouped) == list(plain)
+    counters = Counters()
+    merged = engine.shuffle(outputs, counters, value_bytes=RAW_VALUE_BYTES)
+    assert counters == plain_counters
+    assert merged.lo == plain.lo
+    assert merged.sizes.tolist() == plain.sizes.tolist()
+    assert merged.rows.gid is None
+    assert merged.rows.value.tolist() == value[order].tolist()
+    assert list(merged) == list(plain)
+    # a holistic reducer gets the values alone in group order, grouped by the
+    # sizes: the merged runs, and the one stable sort of the concatenation
+    for grouped in (merged, plain):
+        spy = HolisticSpy()
+        engine._reduce(grouped.rows, grouped.sizes, spy)
+        got, sizes = spy.got
+        assert sizes.tolist() == plain.sizes.tolist()
+        assert got.tolist() == value[order].tolist()
+        assert got.dtype == value.dtype
     for out in pairs:  # the shuffle copies: the map outputs are left as they were
         assert np.all(out.gid >= 3)
 
+
+
+def cell_major_fold(job, agg):
+    """The results and counters of a naive job folded from the cell-major
+    pairs of ``membership.block``: each split's pairs, split by split,
+    concatenated and grouped by the shuffle, then folded at once."""
+    counters = Counters()
+    membership = build_membership(job.geometry)
+    outputs = []
+    for split in compute_splits(job.query.array, job.splits.box, job.splits.data_path):
+        block, keep = read_block(split, job.query.predicate, counters)
+        cells, gids = membership.block(split.region, keep)
+        outputs.append(Pairs(gids, block.ravel()[cells]))
+        counters.add("map_output_records", len(gids))
+    grouped = engine.shuffle(outputs, counters, value_bytes=RAW_VALUE_BYTES)
+    counters.add("reduce_input_records", len(grouped.rows))
+    values = [None] * job.geometry.group_count
+    if len(grouped.rows):
+        folded = agg.fold_groups(grouped.rows.gid, grouped.rows.value, sizes=grouped.sizes)
+        for slot, result in zip(folded.gid.tolist(), agg.group_results(folded)):
+            values[grouped.lo + slot] = result
+    return values, counters
+
+
+NEAR_2_62 = st.one_of(
+    st.integers(2**62 - 1000, 2**62 + 1000), st.integers(-(2**62) - 1000, -(2**62) + 1000)
+)
+
+
+@st.composite
+def ring_jobs(draw):
+    """A naive hierarchical SUM, AVG, MIN, MAX or STDDEV over a sub-box of
+    a 2-d array in ragged chunks, with or without a where filter, on any
+    finite or infinite floats or on int64 values near +-2**62."""
+    extents = (draw(st.integers(2, 12)), draw(st.integers(2, 12)))
+    chunks = tuple(draw(st.integers(1, e)) for e in extents)
+    lo = [draw(st.integers(0, e - 1)) for e in extents]
+    hi = [draw(st.integers(l, e - 1)) for l, e in zip(lo, extents)]
+    ints = draw(st.booleans())
+    n = extents[0] * extents[1]
+    element = NEAR_2_62 if ints else st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False))
+    values = np.array(draw(st.lists(element, min_size=n, max_size=n)), np.int64 if ints else np.float64)
+    agg = draw(st.sampled_from(["sum", "avg", "min", "max", "stddev"]))
+    where = draw(st.sampled_from(["", " where val > 0", " where val < 1e300 and val <> 0"]))
+    radius, step = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    box = ", ".join(map(str, lo + hi))
+    text = f"select {agg}(val) from between (A, {box}){where} hierarchical as (radius {radius} step {step})"
+    return extents, chunks, "int64" if ints else "float64", values.reshape(extents), text
+
+
+UNIFORM_9X9 = np.random.default_rng(0).random((9, 9))
+RING_TEXT = "select {}(val) from between (A, 0, 0, 8, 8) hierarchical as (radius 0 step 1)"
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=ring_jobs())
+# every ring of 9x9 uniform floats in five column strips: each group's sum
+# depends on the order of its strips' runs
+@example(case=((9, 9), (9, 2), "float64", UNIFORM_9X9, RING_TEXT.format("sum")))
+@example(case=((9, 9), (9, 2), "float64", UNIFORM_9X9, RING_TEXT.format("stddev")))
+def test_naive_ring_runs_fold_as_cell_major_pairs(tmp_path_factory, case):
+    """A naive map over nested rings emits runs for algebraic aggregates
+    too: the reduce of the merged runs gives the results (by repr and type)
+    and the counters of a fold of the cell-major pairs, split by split."""
+    extents, chunks, element_type, values, text = case
+    built = build_array(
+        tmp_path_factory.mktemp("rings"), extents=extents, chunks=chunks,
+        element_type=element_type, values=values,
+    )
+    job = plan(analyze(parse(text), built.catalog), "naive")
+    result = run_job(job)
+    want, counters = cell_major_fold(job, job.query.agg)
+    assert list(map(repr, result.values)) == list(map(repr, want)), text
+    assert result.counters == counters, text
+
+
+def test_naive_ring_geomean_names_the_lowest_rings_first_bad_value(array_factory):
+    # rings of radius 0, step 1 around (4, 4) in column strips of 3: the
+    # first bad value in cell order, -1.0 at (1, 1), lies in ring 3; ring 2
+    # holds -2.0 at (2, 4) and -3.0 at (6, 2), and in split order (6, 2)'s
+    # strip comes first
+    cells = np.ones((9, 9))
+    cells[1, 1], cells[2, 4], cells[6, 2] = -1.0, -2.0, -3.0
+    built = array_factory(extents=(9, 9), chunks=(9, 3), values=cells)
+    text = "select geomean(val) from A hierarchical as (radius 0 step 1)"
+    with pytest.raises(EngineError, match=r"^reduce \(group 2\): .*positive values, got -3\.0$"):
+        run_query(built, text, "naive")
 
 class TestErrors:
     def test_nan_data_fails_both_modes(self, array_factory):

@@ -35,6 +35,20 @@ class TestGrid:
         assert groups_of((5, 2), geom) == (2,)
         assert groups_of((7, 7), geom) == (3,)
 
+    @pytest.mark.parametrize("coord", [(1, 2, 3), (1,)])
+    def test_coordinate_of_another_dimensionality_is_refused(self, coord):
+        # zipping the corners would drop the extra axis, or the missing one,
+        # and put the cell in block 0
+        geom = make_geometry("grid", box((0, 0), (7, 7)), GridParams((4, 4)))
+        n = len(coord)
+        with pytest.raises(ValueError, match=f"box of {n} dimensions against a box of 2"):
+            groups_of(coord, geom)
+        with pytest.raises(ValueError, match=f"box of {n} dimensions against a box of 2"):
+            geom.box.intersect(BoundingBox(coord, coord))
+        with pytest.raises(ValueError, match=f"coordinate of {n} dimensions against a box of 2"):
+            geom.box.contains(coord)
+        assert geom.box.contains((7, 0)) and not geom.box.contains((8, 0))
+
     def test_benchmark_scale_group_count(self):
         geom = make_geometry(
             "grid", box((0, 0), (32767, 32767)), GridParams((512, 512))

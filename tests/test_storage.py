@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 from itertools import product
 from unittest import mock
@@ -27,7 +28,18 @@ from aqlmr import (
 )
 from aqlmr import storage
 from aqlmr.engine import Counters
-from aqlmr.storage import read_blocks
+from aqlmr.storage import read_bands
+
+
+def split_blocks(splits, predicate=None, counters=None):
+    """(split, block, mask) of each split in split order, as run_job reads
+    them: the bands of read_bands, each cut by Band.blocks and dropped
+    before the next is read."""
+    with closing(read_bands(splits, predicate, counters)) as bands:
+        for band in bands:
+            blocks = band.blocks()
+            del band  # the blocks hold the band until its last block is cut
+            yield from blocks
 
 
 def dims2(ex, ey, cx, cy):
@@ -583,11 +595,11 @@ def test_band_reads_match_numpy(tmp_path_factory, case):
     with mock.patch.object(storage, "BAND_BYTES", band_bytes), mock.patch.object(
         storage, "_RUN_BYTES", run_bytes
     ), mock.patch.object(os, "preadv", recording_preadv):
-        got = list(read_blocks(splits, predicate, counters))
+        got = list(split_blocks(splits, predicate, counters))
         bands = list(storage._bands(splits))
-    assert len(got) == len(splits)
+    assert [sp for sp, _, _ in got] == splits
     kept = 0
-    for sp, (block, keep) in zip(splits, got):
+    for sp, block, keep in got:
         expect = values[
             tuple(slice(l - o, h - o + 1) for l, h, o in zip(sp.region.lo, sp.region.hi, origin))
         ]
@@ -633,7 +645,7 @@ def test_splits_of_other_rows_make_their_own_bands(array_factory):
         for lo, hi in (((0, 0), (1, 1)), ((0, 2), (3, 3)), ((2, 4), (3, 5)))
     )
     assert [len(band) for band in storage._bands([a, b, c])] == [1, 1, 1]
-    blocks = [block for block, _ in read_blocks([a, b, c])]
+    blocks = [block for _, block, _ in split_blocks([a, b, c])]
     assert [block.tolist() for block in blocks] == [
         built.values[0:2, 0:2].tolist(),
         built.values[0:4, 2:4].tolist(),
@@ -652,12 +664,12 @@ def test_band_reader_holds_one_band(tmp_path):
     assert storage.BAND_BYTES >= 4 * block_bytes
     tracemalloc.start()
     try:
-        for _ in read_blocks(splits):  # fills the interpreter's caches
+        for _ in split_blocks(splits):  # fills the interpreter's caches
             pass
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         n = 0
-        for block, keep in read_blocks(splits):
+        for _, block, keep in split_blocks(splits):
             n += block.size
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
@@ -673,5 +685,5 @@ def test_band_reader_opens_and_checks_the_file_once(array_factory, monkeypatch):
     checks = []
     real_fstat = os.fstat
     monkeypatch.setattr(os, "fstat", lambda fd: checks.append(fd) or real_fstat(fd))
-    blocks = [block for block, _ in read_blocks(splits)]
+    blocks = [block for _, block, _ in split_blocks(splits)]
     assert len(checks) == 1 and len(blocks) == len(splits) == 16

@@ -452,8 +452,10 @@ def test_custom_aggregators_use_their_scalar_hooks(tmp_path, monkeypatch, mode, 
 
 def test_reduce_hooks_without_sizes_raise_type_error(tmp_path):
     """The reduce passes the shuffle's ``sizes`` to merge_groups and
-    holistic_results, so an override written without that argument fails
-    with Python's TypeError, as the README says."""
+    holistic_results by keyword, so an override written without that
+    argument fails with Python's TypeError, as the README says, and so does
+    one written to the older ``holistic_results(gids, values, sizes=None)``,
+    which would otherwise read the values as ids."""
 
     class OldMerge(Aggregator):
         name = "oldmerge"
@@ -471,13 +473,20 @@ def test_reduce_hooks_without_sizes_raise_type_error(tmp_path):
         def holistic_results(self, gids, values):
             return super().holistic_results(gids, values)
 
+    class GidsHolistic(Distinct):
+        name = "gidsholistic"
+
+        def holistic_results(self, gids, values, sizes=None):
+            return super().holistic_results(values, sizes)
+
     registry = AggregatorRegistry()
-    registry.register(OldMerge())
-    registry.register(OldHolistic())
+    for agg in (OldMerge(), OldHolistic(), GidsHolistic()):
+        registry.register(agg)
     built = build_array(tmp_path, extents=(6, 6), chunks=(3, 3))
     for name, mode, hook in [
-        ("oldmerge", "optimized", r"merge_groups\(\) takes 2 positional arguments but 3"),
-        ("oldholistic", "naive", r"holistic_results\(\) takes 3 positional arguments but 4"),
+        ("oldmerge", "optimized", r"merge_groups\(\) got an unexpected keyword argument 'sizes'"),
+        ("oldholistic", "naive", r"holistic_results\(\) got an unexpected keyword argument 'sizes'"),
+        ("gidsholistic", "naive", r"holistic_results\(\) missing 1 required positional argument: 'values'"),
     ]:
         text = f"select {name}(val) from A grid as (partition by x 3, y 3)"
         job = plan(analyze(parse(text), built.catalog, registry), mode)
@@ -627,9 +636,9 @@ class PairFoldSpy:
     def __getattr__(self, name):
         return getattr(self.agg, name)
 
-    def fold_groups(self, gids, values):
+    def fold_groups(self, gids, values, sizes):
         self.folded.append(len(gids))
-        return self.agg.fold_groups(gids, values)
+        return self.agg.fold_groups(gids, values, sizes)
 
 
 # MIN and MAX windows under a mask, every kept cell at one end of int64's
