@@ -380,8 +380,6 @@ class Median(Aggregator):
     def holistic_results(self, values: np.ndarray, sizes: np.ndarray) -> list:
         """statistics.median of each group, by ascending slot (see the class
         docstring)."""
-        if not len(values):
-            return []
         if values.dtype.kind == "f":
             bad = np.isnan(values)
             if bad.any():  # the lowest group with a NaN holds the first one

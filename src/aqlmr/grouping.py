@@ -27,7 +27,15 @@ filtered SUM over 32x32 blocks of a 1024x1024 array from 26 to 10 ms.
 Ring radii grow from an initial radius by a fixed step until a ring reaches
 the box boundary (the largest radius whose full extent still fits: the
 smallest r with r >= the largest inscribed radius). Cells beyond the last
-ring (box corners exceed the inscribed radius) belong to no group.
+ring (box corners exceed the inscribed radius) belong to no group. Ring k
+reaches the cells whose squared distance from the centroid is at most
+(radius0 + k*step)**2, one exact integer comparison and no square root: a
+circular cell's squared distance is the sum of its squared offsets, and a
+hierarchical cell's own ring is the largest of its offsets' rings. The
+squares are int64 columns, or Python ints once a region's farthest squared
+distance reaches 2**63, and a region looks its cells up, with one
+searchsorted, among the squared radii of the rings from its nearest cell
+to its farthest, however many rings the box has.
 
 A compiled Membership defines each shape's membership once, for a whole
 region at a time (the engine's map), from per-dimension index ranges
@@ -56,9 +64,8 @@ so a huge or infinite cell reaches only the windows that hold it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial, reduce
-from itertools import product
 from math import isqrt, prod
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -158,18 +165,51 @@ def _lattice(box: BoundingBox, params: GridParams | SlidingParams) -> tuple[Wind
     )
 
 
+_PARAMS = {
+    "grid": GridParams,
+    "sliding": SlidingParams,
+    "hierarchical": RingParams,
+    "circular": RingParams,
+}
+
+
+# the least value of each numeric field
+_LEAST = {"partitions": 1, "preceding": 0, "following": 0, "stride": 1, "radius0": 0, "step": 1}
+
+
+def _check_params(kind: str, box: BoundingBox, params: ShapeParams) -> None:
+    """ValueError, naming the field, for the parameters that analyze refuses
+    in a query."""
+    want = _PARAMS.get(kind)
+    if want is None:
+        raise ValueError(f"unknown geometry kind {kind!r}")
+    if not isinstance(params, want):
+        raise ValueError(f"{kind} geometry needs {want.__name__}, got {type(params).__name__}")
+    if isinstance(params, RingParams) and params.mode not in ("nested", "disjoint"):
+        raise ValueError(f"RingParams.mode must be 'nested' or 'disjoint', got {params.mode!r}")
+    for field in fields(params):
+        if field.name not in _LEAST:  # a ring's mode
+            continue
+        name = f"{want.__name__}.{field.name}"
+        value, least = getattr(params, field.name), _LEAST[field.name]
+        per_dimension = field.name in ("partitions", "preceding", "following")
+        if per_dimension and len(value) != box.ndim:
+            raise ValueError(
+                f"{name} needs one value per dimension of the {box.ndim}-d box, got {len(value)}"
+            )
+        if min(value if per_dimension else (value,)) < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def make_geometry(kind: str, box: BoundingBox, params: ShapeParams) -> GroupGeometry:
+    _check_params(kind, box, params)
     centroid = lattice = None
-    if kind in ("grid", "sliding"):
-        assert isinstance(params, GridParams if kind == "grid" else SlidingParams)
-        lattice = _lattice(box, params)
-        count = prod(w.count for w in lattice)
-    elif kind in ("hierarchical", "circular"):
-        assert isinstance(params, RingParams)
+    if isinstance(params, RingParams):
         count = _ring_count(box, params)
         centroid = _box_centroid(box)
     else:
-        raise ValueError(f"unknown geometry kind {kind!r}")
+        lattice = _lattice(box, params)
+        count = prod(w.count for w in lattice)
     return GroupGeometry(kind, box, params, centroid, lattice, count)
 
 
@@ -425,56 +465,43 @@ def _expand(items: np.ndarray, first: np.ndarray, counts: np.ndarray):
     return np.repeat(items, counts), np.repeat(first, counts) + np.arange(total) - starts
 
 
-def _distances(a: int, b: int) -> np.ndarray:
-    """|x| for every integer x from a to b."""
-    if a >= 0:
-        return np.arange(a, b + 1)
-    if b < 0:
-        return np.arange(-a, -b - 1, -1)
-    return np.concatenate((np.arange(-a, 0, -1), np.arange(b + 1)))
+def _ring_of(d2: int, params: RingParams) -> int:
+    """The first ring reaching squared distance ``d2``: the smallest k >= 0
+    with d2 <= (radius0 + k*step)**2."""
+    return max(-((params.radius0 - _ceil_sqrt(d2)) // params.step), 0)
 
 
 def _ring_members(geom: GroupGeometry, region: BoundingBox, keep):
     """The kept cells of a region, each with its own ring and its ring count
-    (0 past the last ring): each kept cell's integer distance
-    (Chebyshev for hierarchical rings; for circular ones the smallest d with
-    d*d >= the squared distance, so ring k holds
-    (r0 + (k-1)*s)**2 < d2 <= (r0 + k*s)**2 exactly) picks its first ring and
-    its ring count from tables over the region's distance range."""
+    (0 past the last ring): a circular cell's own ring is that of its summed
+    squared offsets, a hierarchical cell's the largest of its offsets' rings
+    (the Chebyshev distance is the largest offset), each looked up among the
+    squared radii of the rings from the region's nearest cell to its
+    farthest."""
     params = geom.params
     assert isinstance(params, RingParams) and geom.centroid is not None
     spans = [(l - z, h - z) for l, h, z in zip(region.lo, region.hi, geom.centroid)]
-    near = [max(a, -b, 0) for a, b in spans]  # per dimension, the least |offset|
-    far = [max(-a, b) for a, b in spans]
+    near = [max(a, -b, 0) ** 2 for a, b in spans]  # per dimension, the least squared offset
+    far = [max(-a, b) ** 2 for a, b in spans]
+    chebyshev = geom.kind == "hierarchical"
+    lo, hi = (max(near), max(far)) if chebyshev else (sum(near), sum(far))
+    dtype = object if hi >= 2**63 else np.int64
+    first, last = _ring_of(lo, params), min(_ring_of(hi, params), geom.group_count - 1)
+    # squared distances never exceed hi, so neither need the radii
+    radii = [min((params.radius0 + k * params.step) ** 2, hi) for k in range(first, last + 1)]
+    radii = np.array(radii, dtype)
+    squares = np.ix_(*(np.arange(a, b + 1, dtype=dtype) ** 2 for a, b in spans))
     cells = _kept(region, keep)
-    if geom.kind == "hierarchical":
-        lo, hi = max(near), max(far)
-        grids = np.ix_(*(_distances(a, b) for a, b in spans))
-        d = grids[0]
-        for g in grids[1:]:
-            d = np.maximum(d, g)
+    if chebyshev:
+        own = reduce(np.maximum, (np.searchsorted(radii, sq) for sq in squares))
+        own = own.ravel()[cells]
     else:
-        lo = _ceil_sqrt(sum(x * x for x in near))
-        hi = _ceil_sqrt(sum(x * x for x in far))
-        if hi * hi < 2**52:
-            # float64 holds these squared distances exactly, and below 2**52
-            # the square root of an integer d2 is never rounded across an
-            # integer, so its ceiling is _ceil_sqrt(d2)
-            grids = np.ix_(*(np.arange(a, b + 1, dtype=np.float64) for a, b in spans))
-            d = np.ceil(np.sqrt(sum(g * g for g in grids))).astype(np.int64)
-        else:
-            offsets = product(*(range(a, b + 1) for a, b in spans))
-            d = np.array([_ceil_sqrt(sum(x * x for x in o)) for o in offsets], np.int64)
-    # a radius of hi or more puts every distance in ring 0, and a step past
-    # hi - r0 every distance past r0 in ring 1, as the unbounded values do
-    r0 = min(params.radius0, hi)
-    s = min(params.step, hi - r0 + 1)
-    ring = np.maximum(_floor_div(lo - r0 + s - 1, hi - r0 + s - 1, s), 0)
-    rings = np.maximum(geom.group_count - ring, 0)  # the cell's ring and all outer ones
+        own = np.searchsorted(radii, reduce(np.add, squares).ravel()[cells])
+    own += first
+    rings = np.maximum(geom.group_count - own, 0)  # the cell's ring and all outer ones
     if params.mode == "disjoint":
         rings = np.minimum(rings, 1)
-    at = d.ravel()[cells] - lo
-    return cells, ring[at], rings[at]
+    return cells, own, rings
 
 
 class _Rings(Membership):

@@ -14,9 +14,14 @@ from aqlmr import (
     AggregatorRegistry,
     AggSummary,
     Aggregator,
+    EngineError,
     Summaries,
+    analyze,
     default_registry,
+    parse,
+    plan,
     register_aggregator,
+    run_job,
 )
 from aqlmr.aggregates import _span, group_order
 from oracles import aggregate_direct
@@ -252,6 +257,9 @@ class TestMedian:
     )
     @example(case=_large_groups(ints=True))
     @example(case=_large_groups(ints=False))
+    # no values at all, which the engine never reduces
+    @example(case=(np.zeros(0, np.int64), np.zeros(0, np.int64)))
+    @example(case=(np.zeros(0, np.int64), np.zeros(0, np.float64)))
     def test_holistic_results_are_statistics_median(self, case):
         """The vector hook gives statistics.median of each group's values in
         input order, compared by repr: the same type, the same bits and the
@@ -262,6 +270,49 @@ class TestMedian:
         ]
         got = default_registry().get("median").holistic_results(*grouped(gids, values))
         assert list(map(repr, got)) == list(map(repr, want))
+
+
+class Picky(Aggregator):
+    """A holistic count that refuses values past 9."""
+
+    name = "picky"
+    algebraic = False
+
+    def holistic_result(self, values):
+        if max(values) > 9:
+            raise AggregateDataError(f"{max(values)} is past 9")
+        return len(values)
+
+
+class Nameless(Aggregator):
+    pass
+
+
+def _run_picky(array_factory):
+    registry = AggregatorRegistry()
+    registry.register(Picky())
+    # the ramp's 2x2 blocks: group 2 holds 8, 9, 12 and 13
+    built = array_factory(extents=(4, 4), chunks=(2, 2), fill="ramp")
+    text = "select picky(val) from A grid as (partition by x 2, y 2)"
+    run_job(plan(analyze(parse(text), built.catalog, registry), "naive"))
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (_run_picky, EngineError, "reduce (group 2): 13.0 is past 9"),
+        (
+            lambda _: AggregatorRegistry().register(Nameless()),
+            AggregateError,
+            "aggregator needs a name",
+        ),
+    ],
+    ids=["holistic-group", "nameless"],
+)
+def test_refused_aggregation(array_factory, make, error, message):
+    with pytest.raises(error) as info:
+        make(array_factory)
+    assert str(info.value) == message
 
 
 class TestRegistry:

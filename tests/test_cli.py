@@ -118,6 +118,26 @@ class TestGenData:
         assert "bad --" in capsys.readouterr().err
         assert not (tmp_path / "A.bin").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--dims", "8x8", "--chunk", "4x4", "--dim-names", "x"],
+                "--dim-names needs 2 comma-separated names",
+            ),
+            (
+                ["--dims", "8x8", "--chunk", "4"],
+                "--chunk must have the same number of dimensions as --dims",
+            ),
+        ],
+        ids=["dim-names", "chunk"],
+    )
+    def test_dimension_count_mismatch_is_exit_4(self, tmp_path, capsys, flags, message):
+        rc = main(["gen-data", "--name", "A", *flags, "--out-dir", str(tmp_path / "data")])
+        assert rc == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "data").exists()
+
     def test_size_past_the_address_space(self, tmp_path, capsys):
         dims = "1000000000000000000000x8"
         rc = main(["gen-data", "--name", "H", "--dims", dims, "--chunk", "4x4", "--out-dir", str(tmp_path)])

@@ -1,5 +1,6 @@
 import os
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import aqlmr.engine as engine
 from aqlmr import (
     Aggregator,
+    BoundingBox,
     EngineError,
     analyze,
     parse,
@@ -290,6 +292,19 @@ def test_geometry_integers_of_any_size(array_factory, shape, kind, params):
 
 
 class TestPredicates:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Comparison("val", "~", 1), "unknown comparator '~'"),
+            (lambda: ValuePredicate(()), "a value predicate needs at least one comparison"),
+        ],
+        ids=["comparator", "no-conjuncts"],
+    )
+    def test_malformed_predicate(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_bytes_read_invariant_and_filtering(self, array_factory):
         built = array_factory(extents=(10, 10), chunks=(4, 4), fill="ramp")
         base = run_query(
@@ -787,6 +802,23 @@ class TestErrors:
         built.data_path.write_bytes(built.data_path.read_bytes() + bytes(800))
         with pytest.raises(EngineError, match="does not match metadata"):
             run_query(built, "select avg(val) from A grid as (partition by x 2, y 2)")
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [((0, 0), (4, 3)), ((0,), (3,))],
+        ids=["past-the-edge", "dimensionality"],
+    )
+    def test_box_outside_the_array(self, array_factory, lo, hi):
+        # analyze refuses such a box; a plan edited afterwards meets the
+        # split computation's check
+        built = array_factory(extents=(4, 4), chunks=(2, 2))
+        query = analyze(
+            parse("select avg(val) from A grid as (partition by x 2, y 2)"), built.catalog
+        )
+        job = plan(replace(query, box=BoundingBox(lo, hi)))
+        with pytest.raises(EngineError) as info:
+            run_job(job)
+        assert str(info.value) == f"box {BoundingBox(lo, hi)} out of bounds for array 'A'"
 
     def test_bad_worker_count(self, array_factory):
         built = array_factory(extents=(4, 4), chunks=(2, 2))

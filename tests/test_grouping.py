@@ -238,10 +238,62 @@ class TestRings:
         assert groups_of((0, 6, 0), geom) == (2,)
 
 
+# shape parameters that analyze refuses in a query, on the 2-d box
+# (0,0)-(7,7), and the ValueError each gives a library caller
+MALFORMED = [
+    (
+        "grid",
+        GridParams((2,)),
+        "GridParams.partitions needs one value per dimension of the 2-d box, got 1",
+    ),
+    (
+        "sliding",
+        SlidingParams((1,), (1, 1), 1),
+        "SlidingParams.preceding needs one value per dimension of the 2-d box, got 1",
+    ),
+    (
+        "sliding",
+        SlidingParams((1, 1), (1, 1, 1), 1),
+        "SlidingParams.following needs one value per dimension of the 2-d box, got 3",
+    ),
+    ("grid", GridParams((4, 0)), "GridParams.partitions must be >= 1, got (4, 0)"),
+    ("sliding", SlidingParams((1, 1), (1, 1), 0), "SlidingParams.stride must be >= 1, got 0"),
+    (
+        "sliding",
+        SlidingParams((-1, 1), (1, 1), 1),
+        "SlidingParams.preceding must be >= 0, got (-1, 1)",
+    ),
+    (
+        "sliding",
+        SlidingParams((1, 1), (1, -2), 1),
+        "SlidingParams.following must be >= 0, got (1, -2)",
+    ),
+    ("circular", RingParams(1, 0, "disjoint"), "RingParams.step must be >= 1, got 0"),
+    ("hierarchical", RingParams(-1, 1, "nested"), "RingParams.radius0 must be >= 0, got -1"),
+    (
+        "hierarchical",
+        RingParams(1, 1, "spiral"),
+        "RingParams.mode must be 'nested' or 'disjoint', got 'spiral'",
+    ),
+    ("circular", GridParams((2, 2)), "circular geometry needs RingParams, got GridParams"),
+    ("sliding", GridParams((2, 2)), "sliding geometry needs SlidingParams, got GridParams"),
+]
+
+
 class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown geometry kind"):
             make_geometry("spiral", box((0,), (3,)), GridParams((2,)))
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        MALFORMED,
+        ids=[f"{kind}-{message.split()[0]}" for kind, _, message in MALFORMED],
+    )
+    def test_malformed_params(self, kind, params, message):
+        with pytest.raises(ValueError) as info:
+            make_geometry(kind, box((0, 0), (7, 7)), params)
+        assert str(info.value) == message
 
     def test_extent_gid_out_of_range(self):
         geom = make_geometry("grid", box((0,), (3,)), GridParams((2,)))

@@ -329,6 +329,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="step must be >= 1"):
             load_param_config(_write_config(tmp_path, pairs))
 
+    @pytest.mark.parametrize(
+        "query, key, value, message",
+        [
+            (WINDOW_Q, "geometry.window.x", "1", "bad window spec '1' (want preceding:following)"),
+            (
+                GRID_Q,
+                "array.element_type",
+                "float32",
+                "bad array schema in config: unsupported element type 'float32'",
+            ),
+            (GRID_Q, "mode", "fast", "unknown mode 'fast'"),
+        ],
+        ids=["window-spec", "element-type", "mode"],
+    )
+    def test_refused_value(self, built, tmp_path, query, key, value, message):
+        pairs = config_pairs(make_plan(built, query))
+        pairs[key] = value
+        with pytest.raises(ConfigError) as info:
+            load_param_config(_write_config(tmp_path, pairs))
+        assert str(info.value) == message
+
     def test_unknown_geometry_kind(self, tmp_path, pairs):
         pairs["geometry.kind"] = "spiral"
         with pytest.raises(ConfigError, match="unknown geometry kind"):

@@ -130,6 +130,39 @@ class TestSchema:
             load_schema(p)
 
 
+def _metadata_list(tmp_path):
+    path = tmp_path / "list.meta.json"
+    path.write_text(json.dumps([{"name": "A"}]))
+    return load_schema(path)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (
+            lambda tmp_path: ArraySchema("A", "float64", "val", ()),
+            StoreError,
+            "array 'A' needs at least one dimension",
+        ),
+        (
+            lambda tmp_path: BoundingBox((0,), (1, 1)),
+            ValueError,
+            "lo and hi must have the same dimensionality",
+        ),
+        (
+            _metadata_list,
+            StoreError,
+            "malformed metadata {tmp_path}/list.meta.json: expected a JSON object",
+        ),
+    ],
+    ids=["no-dims", "box-dimensionality", "metadata-list"],
+)
+def test_refused_shapes(tmp_path, make, error, message):
+    with pytest.raises(error) as info:
+        make(tmp_path)
+    assert str(info.value) == message.format(tmp_path=tmp_path)
+
+
 class TestBoundingBox:
     def test_rejects_inverted(self):
         with pytest.raises(ValueError):

@@ -200,14 +200,17 @@ def regions(draw, nested_rings=False):
     rings = ["hierarchical", "circular"]
     kind = draw(st.sampled_from(rings if nested_rings else ["grid", "sliding", *rings]))
     lo = tuple(draw(st.integers(-5, 5)) for _ in range(ndim))
-    huge = kind == "circular" and draw(st.integers(0, 4)) == 0
-    # a huge box has squared distances beyond exact float square roots (the
-    # Python fallback); its step keeps the ring count small
-    shape = tuple(2**32 if huge else draw(st.integers(1, 12)) for _ in range(ndim))
+    huge = kind in rings and draw(st.integers(0, 4)) == 0
+    # a huge ring box's cells lie 2**26 +- 1, 2**31 or 2**32 from the
+    # centroid at most, per dimension: squared distances on both sides of
+    # 2**52 and of 2**63, where the squares leave int64 for Python ints;
+    # its step keeps the ring count small
+    side = draw(st.sampled_from([2**27 - 1, 2**27 + 3, 2**32, 2**33])) if huge else None
+    shape = tuple(side or draw(st.integers(1, 12)) for _ in range(ndim))
     hi = tuple(l + s - 1 for l, s in zip(lo, shape))
     params = shape_params(draw, kind, ndim)
     if isinstance(params, RingParams):
-        step = 2**30 + params.step if huge else params.step
+        step = side // 8 + params.step if huge else params.step
         modes = ["nested"] if nested_rings else ["nested", "disjoint"]
         params = RingParams(params.radius0, step, draw(st.sampled_from(modes)))
     geom = make_geometry(kind, BoundingBox(lo, hi), params)
@@ -254,8 +257,21 @@ def reference_pairs(geom, region, keep):
 GAPS = make_geometry("sliding", BoundingBox((0, 0), (6, 4)), SlidingParams((0, 0), (0, 0), 3))
 
 
+def huge_rings(kind, mode):
+    """Rings of radius 1 step 2**30 + 1 around (2**32 - 1, 2**32 - 1); ring 3
+    ends 3*2**30 + 4 out, at x = 2**30 - 5 in STRADDLE, whose squared
+    distances pass 2**63 for both ring kinds."""
+    box = BoundingBox((0, 0), (2**33 - 1, 2**33 - 1))
+    return make_geometry(kind, box, RingParams(1, 2**30 + 1, mode))
+
+
+STRADDLE = BoundingBox((2**30 - 8, 2**32 - 4), (2**30 - 2, 2**32 + 2))
+
+
 @settings(max_examples=300, deadline=None)
 @given(regions())
+@example((huge_rings("hierarchical", "disjoint"), STRADDLE, None))
+@example((huge_rings("circular", "disjoint"), STRADDLE, np.arange(49).reshape(7, 7) % 4 > 0))
 @example((GAPS, BoundingBox((1, 0), (1, 4)), None))
 @example((GAPS, BoundingBox((0, 0), (0, 4)), None))
 @example((GAPS, BoundingBox((0, 0), (0, 4)), np.array([[True, True, False, False, True]])))
@@ -285,6 +301,8 @@ OFF_CENTRE = make_geometry(
 @given(regions(nested_rings=True))
 @example((OFF_CENTRE, BoundingBox((20, 3), (27, 10)), None))
 @example((OFF_CENTRE, BoundingBox((20, 3), (27, 10)), np.arange(64).reshape(8, 8) % 3 > 0))
+@example((huge_rings("hierarchical", "nested"), STRADDLE, None))
+@example((huge_rings("circular", "nested"), STRADDLE, None))
 def test_pairs_are_block_pairs_in_stable_group_order(case):
     geom, region, keep = case
     membership = build_membership(geom)
