@@ -127,6 +127,12 @@ for line in lines:
 EOF
   done
 done
+# on U, whose float sums change with their order, a grid block and its
+# tumbling window still print the same 16 group lines: one fold order
+aqlmr run --query "select avg(val) from U where val > 0.3 grid as (partition by x 8, y 8)" --data-dir ./data | grep "^group " > grid-u.txt
+aqlmr run --query "select avg(val) from U where val > 0.3 fixed window as (partition by x 0 preceding and 7 following, y 0 preceding and 7 following stride 8)" --data-dir ./data | grep "^group " > tumbling-u.txt
+test "$(wc -l < grid-u.txt)" -eq 16
+diff grid-u.txt tumbling-u.txt
 # the median of negative zeros keeps the sign
 aqlmr gen-data --name Z --dims 8x8 --chunk 4x4 --fill constant:-0.0 --out-dir ./data
 aqlmr run --query "select median(val) from Z grid as (partition by x 4, y 4)" --data-dir ./data | grep -Fx "group 0 (0,0)-(3,3): -0.0"

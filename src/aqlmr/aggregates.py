@@ -27,9 +27,11 @@ aggregator that defines only the scalar hooks runs in both modes. Only
 custom aggregators take that loop: the built-ins (builtin_aggregates.py)
 override the vector hooks with numpy, derived from the ``combine`` kind a
 built-in declares (sum, count, minimum or maximum), which also lets the
-optimized sliding and grid maps compute every window's or block's summary
-with a kernel (window_aggregate, called by grouping's sliding fold and grid
-band fold) instead of fold_groups.
+optimized map of a window lattice (grids and sliding windows) compute every
+window's summary with a kernel (window_aggregate, called by grouping's
+lattice folds: shifted slabs for windows that overlap or leave gaps, the
+pieces of a band or split for windows that tile the box) instead of
+fold_groups.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ class Aggregator:
     # built-ins only (builtin_aggregates._Columnar): the summary's merge
     # law, "sum", "min" or "max" of the lifted values with their count, or
     # "count" alone; the scalar merge, the column merge and window_aggregate,
-    # which the optimized sliding and grid maps call, all follow it. None: the
-    # aggregator merges by its own hooks, and windows and grids fold pairs
+    # which the optimized lattice maps call, all follow it. None: the
+    # aggregator merges by its own hooks, and grids and windows fold pairs
     combine: str | None = None
 
     def identity(self) -> AggSummary:

@@ -11,11 +11,12 @@ kind-to-ufunc table, both the column merge and the window kernel
 lift (GEOMEAN's log). STDDEV's Chan merge and holistic MEDIAN keep their
 own hooks. Sums accumulate in input order (np.bincount, np.add.at), so
 float results equal a sequential fold; int64 sums are exact, switching to
-Python ints where they could overflow. The optimized sliding and grid maps
-are the exception: window_aggregate sums each window of a split with
-shifted adds, and each grid block of a band with ufunc.reduceat, in another
-order, so float window and block sums can differ from a sequential fold in
-their last bits. The cells a ``where`` filter drops get the combine's
+Python ints where they could overflow. The optimized maps of grids and
+sliding windows are the exception: window_aggregate sums each window of a
+split with shifted adds, or, where the windows tile the box (every grid
+block, every tumbling window), each piece of a band or split with
+ufunc.reduceat, in another order, so float window sums can differ from a
+sequential fold in their last bits. The cells a ``where`` filter drops get the combine's
 neutral value by bit masks (_fill_dropped), not np.where. The code sticks to a
 few numpy kernels (bincount, ufunc.at, ufunc.reduceat, bitwise and/xor,
 stable argsort, cumsum, repeat and indexing, np.sort and np.partition):

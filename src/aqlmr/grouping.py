@@ -15,14 +15,9 @@ Four kinds of geometry over a query box:
 
 A grid block of side p is the tumbling window (0 preceding, p - 1 following,
 stride p), so grids and sliding windows share one window lattice, which
-make_geometry derives once and group counts, extents and both memberships
-read. The memberships stay apart because a grid's blocks do not overlap:
-its pairs are one floor division per dimension, and its optimized map folds
-a whole band (side-by-side splits read as one array) at once. The band is
-cut into pieces, one per (split, block), and one ufunc.reduceat per
-dimension combines every piece: about a dozen numpy calls a band where the
-split-by-split pair fold made some 25 a split, which took run_job on a
-filtered SUM over 32x32 blocks of a 1024x1024 array from 26 to 10 ms.
+make_geometry derives once and which group counts, extents and the one
+lattice membership (_Windows) read: a grid and its tumbling window are one
+membership, and their results agree bit for bit.
 
 Ring radii grow from an initial radius by a fixed step until a ring reaches
 the box boundary (the largest radius whose full extent still fits: the
@@ -40,25 +35,35 @@ to its farthest, however many rings the box has.
 A compiled Membership defines each shape's membership once, for a whole
 region at a time (the engine's map), from per-dimension index ranges
 broadcast over the region: no per-cell Python work. Each shape's subclass
-(_Grid, _Windows, _Rings, _NestedRings) overrides block, whose pairs come
-cell-major; one cell (groups_of) is the one-cell region. Nested rings also
-give the values of their pairs group-major (pairs), built without a sort,
-ring k being the cells whose own ring is k or less, which a naive map
-emits, whatever the aggregate, so that the shuffle merges sorted runs.
-Those runs keep their group ids as run-length keys, the first group id and
-the length of each group's run, and no id per pair; they repeat values
-gathered once per split, not cell offsets.
+(_Windows, _Rings, _NestedRings) overrides block; a lattice pairs each
+cell, dimension by dimension, with the windows from ceil((x - following) /
+stride) to floor((x + preceding) / stride), clamped to the lattice, x being
+the cell's offset from the box's low edge; one cell (groups_of) is the
+one-cell region. Nested rings also give the values of their pairs
+group-major (pairs), built without a sort, ring k being the cells whose own
+ring is k or less, which a naive map emits, whatever the aggregate, so that
+the shuffle merges sorted runs. Those runs keep their group ids as
+run-length keys, the first group id and the length of each group's run,
+and no id per pair; they repeat values gathered once per split, not cell
+offsets.
 
-The optimized map folds a band through Membership.fold_band, which grids
-override, or else each split's region through Membership.fold, which by
-default groups those (cell, group) pairs once, as the shuffle groups a
-reducer's rows, and folds them. Sliding windows derive, once per region, a
-table of the windows that reach it; the pairs come from it, and for the
-built-ins that declare a combine kind so does the fold: the aggregator's
-window_aggregate combines each window's cells with _slide, one shifted
-in-place ufunc call per window offset and dimension, so the work per cell
-grows with the window's width and not with its area. Nothing is subtracted,
-so a huge or infinite cell reaches only the windows that hold it.
+The optimized map folds a band through Membership.fold_band, or else each
+split's region through Membership.fold, which by default groups those
+(cell, group) pairs once, as the shuffle groups a reducer's rows, and folds
+them. For the built-ins that declare a combine kind, a lattice folds with
+a kernel that the lattice alone chooses. Windows that tile the box (0
+preceding and stride - 1 following on every axis, as a grid's always are)
+cut a band (side-by-side splits read as one array) into pieces, one per
+(split, window), and one ufunc.reduceat per dimension combines every piece:
+about a dozen numpy calls a band where the split-by-split pair fold made
+some 25 a split, which took run_job on a filtered SUM over 32x32 blocks of
+a 1024x1024 array from 26 to 10 ms; a lone split folds the same pieces of
+its region. Windows that overlap or leave gaps derive, once per region, a
+table of the windows that reach it, and the aggregator's window_aggregate
+combines each window's cells with _slide, one shifted in-place ufunc call
+per window offset and dimension, so the work per cell grows with the
+window's width and not with its area. Nothing is subtracted, so a huge or
+infinite cell reaches only the windows that hold it.
 """
 
 from __future__ import annotations
@@ -284,11 +289,12 @@ class Membership:
 
 
 class _Windows(Membership):
-    """Sliding-window membership. The pairs and the fold both read the
-    region's window table (_axes); the fold takes each window's aggregate
-    from the aggregator and adds the geometry, group ids and counts. Rows
-    and counts equal those of fold_groups over the pairs, which the region
-    takes where the aggregator gives no aggregate."""
+    """The window lattice's membership, grids and sliding windows alike.
+    The fold of a lattice whose windows tile the box reduces pieces, a
+    band's or a lone split's (_fold_pieces); other lattices slide over the
+    region's window table (_fold_windows). Rows and counts equal those of
+    fold_groups over the pairs, which the region takes where the aggregator
+    gives no aggregate."""
 
     def __init__(self, box: BoundingBox, lattice: tuple[WindowAxis, ...]) -> None:
         super().__init__(box)
@@ -296,12 +302,84 @@ class _Windows(Membership):
         self._counts = [w.count for w in lattice]
         # the most cells a window holds
         self._cells = prod(w.preceding + w.following + 1 for w in lattice)
+        self._tiles = all(w.preceding == 0 and w.following == w.stride - 1 for w in lattice)
+
+    def block(self, region, keep=None):
+        # per dimension, (position, window) pairs cell by cell; every
+        # combination across dimensions is one membership
+        axes = []
+        for lo, hi, l, (p, f, s, n) in zip(region.lo, region.hi, self._box.lo, self._lattice):
+            # for each offset x from the box's low edge, from a to b, the
+            # windows ceil((x - f) / s) to floor((x + p) / s)
+            a, b = lo - l, hi - l
+            first = np.maximum(np.arange(a - f + s - 1, b - f + s) // s, 0)
+            last = np.minimum(np.arange(a + p, b + p + 1) // s, n - 1)
+            axes.append(_expand(np.arange(b - a + 1), first, last - first + 1))
+        positions, windows = zip(*axes)
+        cells = _ravel(positions, region.shape)
+        gids = _ravel(windows, self._counts)
+        if keep is not None:
+            kept = keep.ravel()[cells]
+            cells, gids = cells[kept], gids[kept]
+        return cells, gids
+
+    def fold(self, region, block, keep, agg):
+        if agg.combine is None:
+            folded = None
+        elif self._tiles:
+            folded = self._fold_pieces([region], block, keep, agg)
+        else:
+            folded = self._fold_windows(region, block, keep, agg)
+        return super().fold(region, block, keep, agg) if folded is None else folded
+
+    def fold_band(self, band, agg):
+        if agg.combine is None or not self._tiles:
+            return None
+        return self._fold_pieces([split.region for split in band.splits], band.data, band.keep, agg)
+
+    def _fold_pieces(self, regions, data, keep, agg) -> Summaries | None:
+        """The fold rows of ``regions``, which lie side by side along the
+        last dimension and whose values ``data`` and mask ``keep`` hold:
+        one row per (region, window) piece that some kept cell reaches,
+        region by region, by ascending id. None where window_aggregate
+        gives no aggregate."""
+        lo, hi = regions[0].lo, regions[-1].hi
+        # per dimension, the lattice index of each piece's window and the
+        # piece's first cell, as an index into data
+        windows, starts = [], []
+        for a, b, l, w in zip(lo, hi, self._box.lo, self._lattice):
+            a, b, s = a - l, b - l, w.stride
+            windows.append(range(a // s, b // s + 1))
+            starts.append([max(k * s - a, 0) for k in windows[-1]])
+        # along the last dimension the regions' edges cut pieces too
+        cuts = [region.lo[-1] - lo[-1] for region in regions]
+        shift, s = lo[-1] - self._box.lo[-1], self._lattice[-1].stride
+        starts[-1] = sorted(set(starts[-1]).union(cuts))
+        windows[-1] = [(i + shift) // s for i in starts[-1]]
+        slide = partial(_reduce_pieces, starts=starts)
+        aggregate = agg.window_aggregate(data, keep, self._cells, slide)
+        if aggregate is None:
+            return None
+        gids = _ravel(windows, self._counts)
+        if keep is None:  # every piece holds all its cells
+            sizes = [np.diff(np.array([*i, n], np.float64)) for i, n in zip(starts, data.shape)]
+            counts = reduce(np.multiply.outer, sizes).ravel()
+        else:  # the mask's bytes, in int32 along rows (none holds 2**31 cells)
+            rows = np.add.reduceat(keep.view(np.int8), starts[-1], axis=-1, dtype=np.int32)
+            counts = _reduce_pieces(rows.astype(np.float64), np.add, 0.0, starts[:-1]).ravel()
+        # region by region, each in row-major order, which is ascending id
+        at = [bisect_left(starts[-1], i) for i in cuts] + [len(starts[-1])]
+        pieces = np.arange(counts.size).reshape(-1, len(starts[-1]))
+        order = np.concatenate([pieces[:, i:j].ravel() for i, j in zip(at, at[1:])])
+        if keep is not None:  # only the pieces some kept cell reaches
+            order = order[np.flatnonzero(counts[order])]
+        return Summaries(gids[order], aggregate[order], counts[order])
 
     def _axes(self, region: BoundingBox):
         """Per dimension, the lattice indices of the windows that reach the
-        region, each window's first cell (an index into the region) and cell
-        count, and one (window slice, cell slice) per window offset that
-        lands in the region. None when the region falls between windows."""
+        region, each window's cell count in it, and one (window slice, cell
+        slice) per window offset that lands in the region. None when the
+        region falls between windows."""
         axes = []
         for lo, hi, l, (p, f, s, n) in zip(region.lo, region.hi, self._box.lo, self._lattice):
             a, b = lo - l, hi - l
@@ -310,41 +388,29 @@ class _Windows(Membership):
                 return None
             centers = np.arange(kmin, kmax + 1)
             c = centers * s - a  # each window's center, as an index into the region
-            first = np.maximum(c - p, 0)
-            count = np.minimum(c + f, b - a) - first + 1
+            count = np.minimum(c + f, b - a) - np.maximum(c - p, 0) + 1
             m, o = kmax - kmin + 1, kmin * s - p - a  # o: offset -p of window kmin
             shifts = []
             for j in range(o, o + p + f + 1):  # cell index of window i is i*s + j
                 i0, i1 = max(-(j // s), 0), min((b - a - j) // s, m - 1)
                 if i0 <= i1:
                     shifts.append((slice(i0, i1 + 1), slice(i0 * s + j, i1 * s + j + 1, s)))
-            axes.append((centers, first, count, shifts))
+            axes.append((centers, count, shifts))
         return axes
 
-    def block(self, region, keep=None):
-        # per dimension, (center index, position) pairs window by window;
-        # every combination across dimensions is one membership
+    def _fold_windows(self, region, block, keep, agg) -> Summaries | None:
+        """The region's rows from _slide over its window table; None where
+        window_aggregate gives no aggregate."""
         axes = self._axes(region)
         if axes is None:
-            none = np.zeros(0, np.int64)
-            return none, none
-        center_axes, cell_axes = zip(*(_expand(k, first, n) for k, first, n, _ in axes))
-        cells = _ravel(cell_axes, region.shape)
-        gids = _ravel(center_axes, self._counts)
-        if keep is not None:
-            kept = keep.ravel()[cells]
-            cells, gids = cells[kept], gids[kept]
-        return cells, gids
-
-    def fold(self, region, block, keep, agg):
-        axes = None if agg.combine is None else self._axes(region)
+            return None
         slide = partial(_slide, axes=axes)
-        aggregate = None if axes is None else agg.window_aggregate(block, keep, self._cells, slide)
+        aggregate = agg.window_aggregate(block, keep, self._cells, slide)
         if aggregate is None:
-            return super().fold(region, block, keep, agg)
-        gids = _ravel([centers for centers, *_ in axes], self._counts)
+            return None
+        gids = _ravel([centers for centers, _, _ in axes], self._counts)
         if keep is None:  # every window holds all its cells
-            counts = reduce(np.multiply, np.ix_(*(count for _, _, count, _ in axes)), np.ones(()))
+            counts = reduce(np.multiply, np.ix_(*(count for _, count, _ in axes)), np.ones(()))
             return Summaries(gids, aggregate, counts.ravel())
         counts = slide(keep.astype(np.float64), np.add, 0.0).ravel()
         seen = np.flatnonzero(counts)
@@ -355,7 +421,7 @@ def _slide(values: np.ndarray, ufunc, start, axes) -> np.ndarray:
     """``ufunc`` over each window's cells, one dimension after another:
     every (window slice, cell slice) of a dimension combines a shifted slab
     of ``values`` into the windows, in place, from ``start``."""
-    for axis, (centers, _, _, shifts) in enumerate(axes):
+    for axis, (centers, _, shifts) in enumerate(axes):
         shape = list(values.shape)
         shape[axis] = len(centers)
         out = np.full(shape, start, values.dtype)
@@ -365,66 +431,6 @@ def _slide(values: np.ndarray, ufunc, start, axes) -> np.ndarray:
             ufunc(target, values[lead + (cells,)], out=target)
         values = out
     return values
-
-
-class _Grid(Membership):
-    """Grid membership. A cell's block, per dimension, is its offset from
-    the box's low edge floor-divided by the block side. For the built-ins
-    that declare a combine kind, the band fold cuts a band into pieces, one
-    per (split, block), and combines each piece's cells with one
-    ufunc.reduceat per dimension (the aggregator's window_aggregate, given
-    _reduce_pieces as its slide): each piece is one row of the split's fold,
-    and the rows go split by split, by ascending id, those of empty pieces
-    dropped."""
-
-    def __init__(self, box: BoundingBox, lattice: tuple[WindowAxis, ...]) -> None:
-        super().__init__(box)
-        self._lattice = lattice
-        self._counts = [w.count for w in lattice]
-        self._cells = prod(w.stride for w in lattice)  # the most cells a block holds
-
-    def block(self, region, keep=None):
-        axes = [
-            _floor_div(a - l, b - l, w.stride)
-            for a, b, l, w in zip(region.lo, region.hi, self._box.lo, self._lattice)
-        ]
-        cells = _kept(region, keep)
-        return cells, _ravel(axes, self._counts)[cells]
-
-    def fold_band(self, band, agg):
-        if agg.combine is None:
-            return None
-        lo, hi = band.splits[0].region.lo, band.splits[-1].region.hi
-        # per dimension, the lattice index of each piece's block and the
-        # piece's first cell, as an index into the band
-        blocks, starts = [], []
-        for a, b, l, w in zip(lo, hi, self._box.lo, self._lattice):
-            a, b, s = a - l, b - l, w.stride
-            blocks.append(range(a // s, b // s + 1))
-            starts.append([max(k * s - a, 0) for k in blocks[-1]])
-        # along the last dimension the splits' edges cut pieces too
-        edges = [split.region.lo[-1] - lo[-1] for split in band.splits]
-        shift, s = lo[-1] - self._box.lo[-1], self._lattice[-1].stride
-        starts[-1] = sorted(set(starts[-1]).union(edges))
-        blocks[-1] = [(i + shift) // s for i in starts[-1]]
-        slide = partial(_reduce_pieces, starts=starts)
-        aggregate = agg.window_aggregate(band.data, band.keep, self._cells, slide)
-        if aggregate is None:
-            return None
-        gids = _ravel(blocks, self._counts)
-        if band.keep is None:  # every piece holds all its cells
-            sizes = [np.diff(np.array([*i, n], np.float64)) for i, n in zip(starts, band.data.shape)]
-            counts = reduce(np.multiply.outer, sizes).ravel()
-        else:  # the mask's bytes, in int32 along rows (none holds 2**31 cells)
-            rows = np.add.reduceat(band.keep.view(np.int8), starts[-1], axis=-1, dtype=np.int32)
-            counts = _reduce_pieces(rows.astype(np.float64), np.add, 0.0, starts[:-1]).ravel()
-        # split by split, each in row-major order, which is ascending id
-        cuts = [bisect_left(starts[-1], i) for i in edges] + [len(starts[-1])]
-        pieces = np.arange(counts.size).reshape(-1, len(starts[-1]))
-        order = np.concatenate([pieces[:, i:j].ravel() for i, j in zip(cuts, cuts[1:])])
-        if band.keep is not None:  # only the pieces some kept cell reaches
-            order = order[np.flatnonzero(counts[order])]
-        return Summaries(gids[order], aggregate[order], counts[order])
 
 
 def _reduce_pieces(values: np.ndarray, ufunc, start, starts: list[list[int]]) -> np.ndarray:
@@ -437,14 +443,6 @@ def _reduce_pieces(values: np.ndarray, ufunc, start, starts: list[list[int]]) ->
     return ufunc(values, start, out=values)
 
 
-def _floor_div(a: int, b: int, d: int) -> np.ndarray:
-    """x // d for every integer x from a to b, as runs of equal quotients."""
-    first, last = a // d, b // d
-    edges = np.arange(first, last + 2) * d
-    edges[0], edges[-1] = a, b + 1
-    return np.repeat(np.arange(first, last + 1), np.diff(edges))
-
-
 def _ravel(axes: list, counts) -> np.ndarray:
     """Row-major ids over every combination of the per-dimension indices."""
     ids = np.zeros((), np.int64)
@@ -453,16 +451,11 @@ def _ravel(axes: list, counts) -> np.ndarray:
     return ids.ravel()
 
 
-def _kept(region: BoundingBox, keep: np.ndarray | None) -> np.ndarray:
-    """Row-major offsets of the cells ``keep`` keeps (all without a mask)."""
-    return np.arange(region.cell_count) if keep is None else np.flatnonzero(keep)
-
-
 def _expand(items: np.ndarray, first: np.ndarray, counts: np.ndarray):
     """Each item ``counts`` times, beside the ids first, first + 1, ..."""
-    total = int(counts.sum())
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(items, counts), np.repeat(first, counts) + np.arange(total) - starts
+    ids = np.repeat(first + counts - np.cumsum(counts), counts)
+    ids += np.arange(len(ids))
+    return np.repeat(items, counts), ids
 
 
 def _ring_of(d2: int, params: RingParams) -> int:
@@ -491,7 +484,7 @@ def _ring_members(geom: GroupGeometry, region: BoundingBox, keep):
     radii = [min((params.radius0 + k * params.step) ** 2, hi) for k in range(first, last + 1)]
     radii = np.array(radii, dtype)
     squares = np.ix_(*(np.arange(a, b + 1, dtype=dtype) ** 2 for a, b in spans))
-    cells = _kept(region, keep)
+    cells = np.arange(region.cell_count) if keep is None else np.flatnonzero(keep)
     if chebyshev:
         own = reduce(np.maximum, (np.searchsorted(radii, sq) for sq in squares))
         own = own.ravel()[cells]
@@ -546,12 +539,9 @@ class _NestedRings(_Rings):
 
 def build_membership(geom: GroupGeometry) -> Membership:
     """Compile the membership function once for a job."""
-    box, lattice = geom.box, geom.lattice
-    if lattice is None:
+    if geom.lattice is None:
         return (_NestedRings if geom.params.mode == "nested" else _Rings)(geom)
-    if geom.kind == "sliding":
-        return _Windows(box, lattice)
-    return _Grid(box, lattice)
+    return _Windows(geom.box, geom.lattice)
 
 
 def group_extent(gid: int, geom: GroupGeometry) -> BoundingBox | RingExtent:

@@ -26,6 +26,8 @@ COVERAGE_QUERIES = [
     "select median(val) from A grid as (partition by x 5, y 5)",
     "select avg(val) from between (A, 0, 0, 7, 7) fixed window as (partition by x 2 preceding and 0 following, y 0 preceding and 2 following stride 2)",
     "select avg(val) from A fixed window as (partition by x 1 preceding and 1 following, y 1 preceding and 1 following, stride 3)",
+    "select avg(val) from A where val > 0.25 fixed window as (partition by x 0 preceding and 3 following, y 0 preceding and 3 following stride 4)",
+    "select max(val) from between (A, 1, 2, 19, 17) fixed window as (partition by x 0 preceding and 1 following, y 1 preceding and 0 following stride 4)",
     "select sum(val) from A hierarchical as (radius 1 step 1)",
     "select sum(val) from between (A, 1, 1, 7, 7) hierarchical as (radius 2 step 3)",
     "select avg(val) from A circular as (radius 1 step 1)",

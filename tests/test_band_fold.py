@@ -1,16 +1,21 @@
-"""The optimized grid map's band kernel against the per-split pair fold.
+"""The optimized map's band kernel for tiling lattices against the
+per-split pair fold.
 
-A grid folds a whole band (side-by-side splits read as one array) with one
-ufunc.reduceat per dimension. On 1-3-d arrays with nonzero starts and
-ragged chunks, boxes and blocks that start and end mid-chunk, partitions
-larger than the box and filters that empty some or all splits, its rows
-must be those of folding each split's (cell, group) pairs: the same group
-ids, counts and order, the same aggregates (exact for int64 sums, MIN, MAX
-and COUNT; float sums up to their order), and no rows where a kept value
-would fail the fold or an int64 sum could overflow.
+The windows of a tiling lattice (a grid, or its tumbling window: 0
+preceding and P - 1 following with stride P) cut a whole band (side-by-side
+splits read as one array) into pieces that one ufunc.reduceat per dimension
+folds. On 1-3-d arrays with nonzero starts and ragged chunks, boxes and
+blocks that start and end mid-chunk, partitions larger than the box and
+filters that empty some or all splits, its rows must be those of folding
+each split's (cell, group) pairs: the same group ids, counts and order, the
+same aggregates (exact for int64 sums, MIN, MAX and COUNT; float sums up to
+their order), and no rows where a kept value would fail the fold or an
+int64 sum could overflow. Lattices whose windows overlap or leave gaps have
+no band kernel.
 """
 
 import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -24,6 +29,7 @@ from aqlmr import (
     DimSpec,
     EngineError,
     GridParams,
+    SlidingParams,
     analyze,
     build_membership,
     compute_splits,
@@ -85,13 +91,19 @@ def band_folds(draw):
         lo.append(a)
         hi.append(b)
     box = BoundingBox(tuple(lo), tuple(hi))
+    # up to past the box's side, so one block can hold the whole box
+    partitions = tuple(draw(st.integers(1, n + 2)) for n in box.shape)
+    # a grid, or its tumbling window, whose one stride serves every dimension
+    lattice = draw(st.sampled_from(["grid", "tumbling"]))
+    if lattice == "tumbling":
+        partitions = (partitions[0],) * ndim
     data = draw(st.sampled_from(["floats", "signed", "ints", "huge_ints"]))
     element_type = "float64" if data in ("floats", "signed") else "int64"
     return {
         "schema": ArraySchema("A", element_type, "val", tuple(dims)),
         "box": box,
-        # up to past the box's side, so one block can hold the whole box
-        "partitions": tuple(draw(st.integers(1, n + 2)) for n in box.shape),
+        "partitions": partitions,
+        "lattice": lattice,
         "agg": draw(st.sampled_from(KERNEL_AGGREGATES)),
         "data": data,
         # a where mask keeping this share of cells (0 empties every split)
@@ -102,6 +114,15 @@ def band_folds(draw):
         "band_bytes": draw(st.sampled_from([8, 64, 512, storage.BAND_BYTES])),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
+
+
+def lattice_membership(case):
+    """The membership of the case's grid, or of its tumbling window."""
+    box, partitions = case["box"], case["partitions"]
+    if case["lattice"] == "grid":
+        return build_membership(make_geometry("grid", box, GridParams(partitions)))
+    params = SlidingParams((0,) * box.ndim, tuple(p - 1 for p in partitions), partitions[0])
+    return build_membership(make_geometry("sliding", box, params))
 
 
 def band_values(case, rng) -> np.ndarray:
@@ -134,6 +155,7 @@ def band_values(case, rng) -> np.ndarray:
         "schema": ArraySchema("A", "float64", "val", (DimSpec("x", -2, 6, 3), DimSpec("y", 1, 12, 3))),
         "box": BoundingBox((-1, 2), (5, 11)),
         "partitions": (2, 4),
+        "lattice": "grid",
         "agg": "sum",
         "data": "floats",
         "density": 0.6,
@@ -148,7 +170,7 @@ def test_band_fold_matches_pair_fold(case):
     values = band_values(case, rng)
     keep = None if case["density"] is None else rng.random(schema.extents) < case["density"]
     agg = default_registry().get(case["agg"])
-    membership = build_membership(make_geometry("grid", box, GridParams(case["partitions"])))
+    membership = lattice_membership(case)
     block_cells = math.prod(min(p, n) for p, n in zip(case["partitions"], box.shape))
     for band in bands_of(schema, box, values, keep, case["band_bytes"]):
         context = f"{case} band {[s.split_id for s in band.splits]}"
@@ -175,6 +197,27 @@ def test_band_fold_matches_pair_fold(case):
         else:
             for a, b in zip(got.aggregate.tolist(), aggregates):
                 assert_close(a, b, context=context)
+
+
+def test_band_fold_needs_a_tiling_lattice():
+    """Windows that overlap (+-1, stride 1) or leave gaps (1-cell windows
+    with stride 3) have no band kernel, and their optimized map folds split
+    by split; the tumbling windows of stride 3 have one."""
+    schema = ArraySchema("A", "float64", "val", (DimSpec("x", 0, 6, 4), DimSpec("y", 0, 4, 3)))
+    box = schema.whole_box()
+    values = np.random.default_rng(0).random(schema.extents)
+    bands = list(bands_of(schema, box, values, None))
+    assert [len(band.splits) for band in bands] == [2, 2]
+    lattices = [
+        (SlidingParams((1, 1), (1, 1)), False),
+        (SlidingParams((0, 0), (0, 0), 3), False),
+        (SlidingParams((0, 0), (2, 2), 3), True),
+    ]
+    for params, tiles in lattices:
+        membership = build_membership(make_geometry("sliding", box, params))
+        for name, band in product(KERNEL_AGGREGATES, bands):
+            folded = membership.fold_band(band, default_registry().get(name))
+            assert (folded is not None) == tiles, (params, name)
 
 
 def test_dropped_nan_and_inf_reach_no_result():
