@@ -143,8 +143,30 @@ python3 -c "
 import json
 def refuse(token):
     raise ValueError(f'bare {token} in the report')
-assert json.load(open('r.json'), parse_constant=refuse)['groups'][0]['value'] == 'inf'
+report = json.load(open('r.json'), parse_constant=refuse)
+assert report['groups'][0]['value'] == 'inf'
+# the pages the process faulted in during run_job
+assert type(report['minor_faults']) is int and report['minor_faults'] >= 0, report['minor_faults']
 "
+# int64 window sums that all fit in int64 (9 * 2**59 < 2**63), while the
+# optimized reducer's running bound (the largest |v| merged times the rows
+# merged) passes 2**63 with the first split's 25 rows, so it goes on in
+# Python ints: both modes give exact integers
+aqlmr gen-data --name P --dims 16x16 --chunk 4x4 --element-type int64 --fill constant:576460752303423488 --out-dir ./data
+big="select sum(val) from P fixed window as (partition by x 1 preceding and 1 following, y 1 preceding and 1 following)"
+for mode in naive optimized; do
+  aqlmr run --mode $mode --query "$big" --data-dir ./data --report "big-$mode.json" > /dev/null
+done
+python3 - <<'EOF'
+import json
+naive, optimized = (json.load(open(f"big-{mode}.json"))["groups"] for mode in ("naive", "optimized"))
+assert naive == optimized
+assert len(optimized) == 256
+for group in optimized:
+    x, y = divmod(group["id"], 16)
+    cells = (min(x + 1, 15) - max(x - 1, 0) + 1) * (min(y + 1, 15) - max(y - 1, 0) + 1)
+    assert type(group["value"]) is int and group["value"] == cells * 2**59, group
+EOF
 # a missing data directory exits 4
 rc=0; aqlmr explain "select sum(val) from A grid as (partition by x 4, y 4)" --data-dir ./missing || rc=$?
 test "$rc" -eq 4

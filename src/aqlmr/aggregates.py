@@ -31,7 +31,12 @@ optimized map of a window lattice (grids and sliding windows) compute every
 window's summary with a kernel (window_aggregate, called by grouping's
 lattice folds: shifted slabs for windows that overlap or leave gaps, the
 pieces of a band or split for windows that tile the box) instead of
-fold_groups.
+fold_groups, and lets the reduce of an optimized job merge each map output
+as it arrives (start and merge_into on a table indexed by group id) instead
+of merge_groups over the shuffle's whole table. The engine calls
+merge_groups, with the shuffled table, only for an aggregator without a
+combine kind (STDDEV and custom ones); group_results then gets the groups
+that some row reached, every group's as a table without a gid column.
 """
 
 from __future__ import annotations
@@ -64,19 +69,20 @@ class AggSummary:
 @dataclass
 class Summaries:
     """Summary rows in columns: row i is AggSummary(aggregate[i], count[i],
-    ext[i]) for group gid[i]. The built-ins keep float64 or int64 columns
-    (object columns of Python ints for int64 sums that could overflow) and
-    counts as float64 (exact below 2**53, and dividing by them casts
-    nothing); the scalar loop, which only custom aggregators take, keeps
-    object columns, which hold any Python value."""
+    ext[i]) for group gid[i], or for group i where gid is None (a row for
+    every group, which only group_results is given). The built-ins keep
+    float64 or int64 columns (object columns of Python ints for int64 sums
+    that could overflow) and counts as float64 (exact below 2**53, and
+    dividing by them casts nothing); the scalar loop, which only custom
+    aggregators take, keeps object columns, which hold any Python value."""
 
-    gid: np.ndarray
+    gid: np.ndarray | None
     aggregate: np.ndarray
     count: np.ndarray
     ext: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.gid)
+        return len(self.count)
 
     def rows(self) -> list[AggSummary]:
         ext = [None] * len(self) if self.ext is None else self.ext.tolist()

@@ -8,10 +8,16 @@ once, as its ``combine`` kind (Gray et al.'s distributive sum, count, min
 or max), from which _Columnar derives the scalar merge and, through one
 kind-to-ufunc table, both the column merge and the window kernel
 (window_aggregate); folding a value in merges a one-value summary of its
-lift (GEOMEAN's log). STDDEV's Chan merge and holistic MEDIAN keep their
-own hooks. Sums accumulate in input order (np.bincount, np.add.at), so
-float results equal a sequential fold; int64 sums are exact, switching to
-Python ints where they could overflow. The optimized maps of grids and
+lift (GEOMEAN's log). The column merge is one in-place step (merge_into)
+on columns indexed by slot (Merged, from start): np.add.at for sums and
+counts, np.minimum.at for minima and for negated float maxima, np.maximum.at
+for int64 maxima. merge_groups is start and that step over a whole table;
+the engine instead starts one table for the job's groups and takes the step
+once per map output as it arrives. STDDEV's Chan merge and holistic MEDIAN
+keep their own hooks. Sums accumulate in input order, so float results
+equal a sequential fold; int64 sums are exact, switching to Python ints
+once their running bound (the largest |v| merged times the rows merged)
+reaches 2**63. The optimized maps of grids and
 sliding windows are the exception: window_aggregate sums each window of a
 split with shifted adds, or, where the windows tile the box (every grid
 block, every tumbling window), each piece of a band or split with
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,23 +72,43 @@ def _reject_nan(gids: np.ndarray | None, values: np.ndarray) -> None:
             raise exc if gids is None else _in_group(exc, gids[bad].min())
 
 
+def _magnitude(column: np.ndarray) -> int:
+    """The largest |v| of a nonempty int64 column, as a Python int."""
+    return max(-int(column.min()), int(column.max()))
+
+
 def _exact_int64(column: np.ndarray, n: int) -> bool:
     """Whether int64 sums of up to ``n`` values of ``column`` are exact:
     it is int64 and max |v| * n < 2**63."""
-    return column.dtype == np.int64 and max(-int(column.min()), int(column.max())) * n < 2**63
+    return column.dtype == np.int64 and _magnitude(column) * n < 2**63
 
 
-def _sums(row: np.ndarray, size: int, column: np.ndarray) -> np.ndarray:
-    """Per-group sums of a column in input order. Integer sums are exact: in
-    int64 where _exact_int64 allows, else in Python ints (an object
-    column), which do not wrap."""
-    if column.dtype == np.float64:
-        return np.bincount(row, weights=column, minlength=size)
-    if not _exact_int64(column, len(column)):
-        column = column.astype(object)
-    out = np.zeros(size, column.dtype)
-    np.add.at(out, row, column)
-    return out
+@dataclass
+class Merged:
+    """Summaries merged by slot: row s of each column is slot s's summary
+    (_Columnar.start and merge_into, or StdDev._merge). A float maximum is
+    kept negated (``flip``) until ``rows`` reads it. ``peak`` and ``seen``
+    are the running bound of an int64 sum: the largest |v| and the number
+    of rows merged so far."""
+
+    aggregate: np.ndarray
+    count: np.ndarray
+    ext: np.ndarray | None = None
+    flip: bool = False
+    peak: int = 0
+    seen: int = 0
+
+    def rows(self, present: np.ndarray | None) -> Summaries:
+        """The summaries of the slots in ``present``, by ascending slot, or
+        of every slot (None), a table with no gid column. The columns are
+        given up to it: a negated maximum is negated back in place."""
+        if self.flip:
+            self.aggregate *= -1.0
+            self.flip = False
+        columns = (self.aggregate, self.count, self.ext)
+        if present is not None and len(present) < len(self.count):  # keep the reached slots
+            columns = (None if c is None else c[present] for c in columns)
+        return Summaries(present, *columns)
 
 
 # the ufunc that combines two summaries' aggregates, by combine kind
@@ -185,31 +212,51 @@ class _Columnar(Aggregator):
     def merge_groups(self, table: Summaries, sizes: np.ndarray) -> Summaries:
         if not len(table):
             return table
-        present = np.flatnonzero(sizes)
-        merged = self._merge(table.gid, len(sizes), table)
-        if len(present) < len(sizes):  # some slot is empty: keep the others
-            merged = (None if c is None else c[present] for c in merged)
-        return Summaries(present, *merged)
+        return self._merge(table.gid, len(sizes), table).rows(np.flatnonzero(sizes))
 
-    def _merge(self, row: np.ndarray, size: int, table: Summaries):
-        """The merged (aggregate, count, ext) columns of a table, indexed by
-        slot (row i goes to slot row[i] < size). Slots no row reaches hold
-        anything."""
-        counts = _sums(row, size, table.count)
-        if self.combine == "count":
-            return np.zeros(size, np.int64), counts, None
-        if self.combine == "sum":
-            return _sums(row, size, table.aggregate), counts, None
-        values, ufunc = table.aggregate, _UFUNCS[self.combine]
+    def _merge(self, row: np.ndarray, size: int, table: Summaries) -> Merged:
+        """A table's rows merged by slot (row i goes to slot row[i] < size).
+        Slots no row reaches hold anything."""
+        merged = self.start(size, table.aggregate.dtype)
+        self.merge_into(merged, row, table)
+        return merged
+
+    def start(self, size: int, dtype: np.dtype) -> Merged:
+        """``size`` slots that no summary has reached, for aggregates of
+        ``dtype``: each aggregate at the combine kind's start value (a
+        float maximum negated, at +inf), each count 0."""
+        if self.combine == "count":  # no aggregate is merged
+            return Merged(np.zeros(size, np.int64), np.zeros(size))
         # a float maximum is minus the minimum of the negated values, exactly,
         # and np.minimum.at is the one ufunc.at the float path needs
-        flip = ufunc is np.maximum and values.dtype == np.float64
-        if flip:
-            values, ufunc = values * -1.0, np.minimum
-        out = np.zeros(size, values.dtype)
-        out[row] = values  # any member value starts the fold
-        ufunc.at(out, row, values)
-        return out * -1.0 if flip else out, counts, None
+        flip = self.combine == "max" and dtype == np.float64
+        start = _start("min" if flip else self.combine, dtype)
+        return Merged(np.full(size, start, dtype), np.zeros(size), flip=flip)
+
+    def merge_into(self, merged: Merged, row: np.ndarray, table: Summaries) -> None:
+        """update_in_reduce of each row of ``table`` (some row) into slot
+        ``row[i]`` of ``merged``, in row order and in place: one ufunc.at per column,
+        which adds in input order as a sequential fold does. int64 sums
+        turn into Python ints (an object column), which do not wrap, once
+        their running bound (the largest |v| merged times the rows merged)
+        reaches 2**63, as _exact_int64 bounds a whole column."""
+        np.add.at(merged.count, row, table.count)
+        if self.combine == "count":
+            return
+        values = table.aggregate
+        if merged.flip:
+            np.minimum.at(merged.aggregate, row, values * -1.0)
+            return
+        if merged.aggregate.dtype == np.int64 and self.combine == "sum":
+            merged.seen += len(values)
+            if values.dtype == np.int64:
+                merged.peak = max(merged.peak, _magnitude(values))
+            if values.dtype != np.int64 or merged.peak * merged.seen >= 2**63:
+                merged.aggregate = merged.aggregate.astype(object)
+        # sums past the double range give inf, and inf - inf nan, as Python
+        # floats do and without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            _UFUNCS[self.combine].at(merged.aggregate, row, values)
 
     def group_results(self, table: Summaries) -> list:
         return table.aggregate.tolist()
@@ -289,7 +336,7 @@ class StdDev(_Columnar):
 
     def _merge(self, row, size, table):
         weight = table.count
-        n = _sums(row, size, weight)
+        n = np.bincount(row, weights=weight, minlength=size)
         # inf - inf and overflowing squares give nan and inf, as Python floats
         # do; slots no row reaches divide 0 by 0
         with np.errstate(invalid="ignore", over="ignore"):
@@ -299,7 +346,7 @@ class StdDev(_Columnar):
             shift = np.bincount(row, weights=delta * weight, minlength=size) / n
             delta -= shift[row]
             m2 = np.bincount(row, weights=delta * delta * weight + table.ext, minlength=size)
-            return ref + shift, n, m2
+            return Merged(ref + shift, n, m2)
 
     def group_results(self, table: Summaries) -> list:
         return np.sqrt(table.ext / table.count).tolist()

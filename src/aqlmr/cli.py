@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
 import warnings
 from pathlib import Path
@@ -175,7 +176,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         query = _resolve_query(args.query, args.data_dir)
         job = _plan_with_warnings(query, args.mode)
         query_text = args.query
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     result = run_job(job)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     _print_run(result, job.geometry)
     if args.report:
         doc = {
@@ -191,6 +194,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ],
             "counters": result.counters.snapshot(),
             "timings": {name: _finite(t) for name, t in result.timings.items()},
+            # pages this process faulted in during run_job (getrusage)
+            "minor_faults": faults,
         }
         _write_report(args.report, doc)
     return 0

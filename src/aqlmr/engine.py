@@ -4,7 +4,17 @@ A job runs as one serial pass over whole columns: the splits are read and
 mapped a band at a time (storage.read_bands), in split order, the shuffle
 groups the map outputs, and the reduce folds every group at once, adding
 rows into each group in (split, emission) order, so results are the same
-from run to run. Each stage reads the form of its input, never a flag. A
+from run to run. An optimized job whose aggregator declares a combine kind
+(every built-in but STDDEV and MEDIAN) skips the collecting shuffle and
+merges partial aggregates as they arrive, as Yu, Gunda and Isard's
+distributed aggregation does (SOSP 2009): each map output is counted as
+the shuffle and the reduce would count it, merged into one table indexed
+by group id (the aggregator's start and merge_into, one ufunc.at per
+column, in arrival order, which is the shuffle's row order), then freed;
+the reduce finishes the groups some row reached, and the merge time counts
+as reduce time. Other jobs keep every map output for the shuffle: STDDEV
+and custom aggregators, whose merge_groups takes a whole grouped table,
+and naive jobs. Each stage reads the form of its input, never a flag. A
 map emits what its membership builds: as a MapReduce map task sorts its
 output by key, a naive map emits its pairs group by group where the
 membership builds them so without sorting (Membership.pairs of nested
@@ -36,7 +46,7 @@ from __future__ import annotations
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 import numpy as np
 
@@ -44,6 +54,9 @@ from .aggregates import AggregateError, Aggregator, Summaries, _span, group_orde
 from .grouping import Membership, build_membership
 from .planner import JobPlan
 from .storage import ArraySplit, Band, StoreError, compute_splits, read_bands, read_block
+
+if TYPE_CHECKING:
+    from .builtin_aggregates import Merged
 
 KEY_BYTES = 8
 RAW_VALUE_BYTES = 8
@@ -174,21 +187,23 @@ def _map_band(
     membership: Membership,
     agg: Aggregator | None,
     counters: Counters,
-) -> list[Pairs | Runs | Summaries]:
-    """The map tasks of a band's splits: the membership's band fold where it
-    gives one (optimized), which holds every split's rows in split order,
-    else each split's own task on its block."""
+) -> Iterator[Pairs | Runs | Summaries]:
+    """The map tasks of a band's splits, each output as it returns: the
+    membership's band fold where it gives one (optimized), which holds
+    every split's rows in split order, else each split's own task on its
+    block."""
     folded = None if agg is None else membership.fold_band(band, agg)
     if folded is not None:
         counters.add("map_output_records", len(folded))
-        return [folded]
-    outputs = []
+        yield folded
+        return
     for split, block, keep in band.blocks():
         try:
-            outputs.append(_map_block(split, block, keep, membership, agg, counters))
+            out = _map_block(split, block, keep, membership, agg, counters)
         except AggregateError as exc:
             raise _task_error(split, exc) from exc
-    return outputs
+        yield out
+        del out  # freed by the caller's merge, not kept through the next task
 
 
 def naive_map(
@@ -339,6 +354,45 @@ def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list
     return agg.group_results(folded)
 
 
+def _outside(group_count: int) -> EngineError:
+    return EngineError(f"group id outside geometry (0..{group_count - 1})")
+
+
+def _arrive(
+    merged: Merged | None,
+    out: Summaries,
+    agg: Aggregator,
+    group_count: int,
+    counters: Counters,
+    value_bytes: int,
+) -> Merged | None:
+    """Merge one map output into the group table as it arrives: its rows
+    are counted as the shuffle and the reduce count them, their ids
+    checked (ufunc.at would wrap an id of -1), then merged in row order.
+    The first rows start the table, in their aggregates' dtype."""
+    counters.add("bytes_shuffled", (KEY_BYTES + value_bytes) * len(out))
+    counters.add("reduce_input_records", len(out))
+    if not len(out):
+        return merged
+    if not (0 <= out.gid.min() and out.gid.max() < group_count):
+        raise _outside(group_count)
+    if merged is None:
+        merged = agg.start(group_count, out.aggregate.dtype)
+    agg.merge_into(merged, out.gid, out)
+    return merged
+
+
+def _scatter(results: list, present: np.ndarray | None, group_count: int) -> list:
+    """The results of the groups ``present`` names (None: every group), by
+    ascending id, in a list by group id that holds None for every other
+    group."""
+    if len(results) == group_count:
+        return results  # every group has a result, in group order
+    scattered = np.full(group_count, None, object)
+    scattered[present] = np.fromiter(results, object, len(results))
+    return scattered.tolist()  # each as it is
+
+
 def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     agg = plan.query.agg
     if plan.mode == "optimized" and not agg.algebraic:
@@ -356,55 +410,70 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
 
     counters = Counters()
     membership = build_membership(plan.geometry)
+    group_count = plan.geometry.group_count
+    map_agg = agg if plan.mode == "optimized" else None
+    value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
+    # a combine kind's summaries merge into the group table as they arrive;
+    # other jobs keep their map outputs for the shuffle
+    arrive = map_agg is not None and agg.combine is not None
+    merged = None
+    merge_s = 0.0
 
     t0 = time.perf_counter()
-    map_agg = agg if plan.mode == "optimized" else None
     map_outputs = []
     mapped = 0  # splits mapped so far: a failed read names the next one
     # closed at once when a map task raises, not when its traceback is freed
     with closing(read_bands(splits, plan.query.predicate, counters)) as bands:
         try:
             for band in bands:
-                map_outputs += _map_band(band, membership, map_agg, counters)
+                for out in _map_band(band, membership, map_agg, counters):
+                    if not arrive:
+                        map_outputs.append(out)
+                        continue
+                    t = time.perf_counter()
+                    merged = _arrive(merged, out, agg, group_count, counters, value_bytes)
+                    del out  # before the next map task runs
+                    merge_s += time.perf_counter() - t
                 mapped += len(band.splits)
                 del band  # before the next band is read, and through the reduce
         except StoreError as exc:
             raise _task_error(splits[mapped], exc) from exc
     t1 = time.perf_counter()
 
-    value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
-    grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
-    rows, lo, sizes = grouped.rows, grouped.lo, grouped.sizes
-    del map_outputs, grouped  # the shuffled rows are a copy
-    t2 = time.perf_counter()
-
-    group_count = plan.geometry.group_count
-    counters.add("reduce_input_records", len(rows))
-    if len(rows):
-        if not (0 <= lo and lo + len(sizes) <= group_count):
-            raise EngineError(f"group id outside geometry (0..{group_count - 1})")
-        try:
-            results = _reduce(rows, sizes, agg)
-        except AggregateError as exc:  # a reducer names its group by slot
-            where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
-            raise EngineError(f"{where}: {exc}") from exc
-        if len(results) == group_count:
-            values = results  # every group has a result, in group order
-        else:
-            scattered = np.full(group_count, None, object)
-            scattered[lo + np.flatnonzero(sizes)] = np.fromiter(results, object, len(results))
-            values = scattered.tolist()  # each as it is
+    values = None  # no row reached any group
+    if arrive:
+        t2 = t1
+        if merged is not None:
+            reached = int(np.count_nonzero(merged.count))  # every row counts a cell
+            counters.add("shuffle_groups", reached)
+            present = None if reached == group_count else np.flatnonzero(merged.count)
+            values = _scatter(agg.group_results(merged.rows(present)), present, group_count)
     else:
+        grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
+        rows, lo, sizes = grouped.rows, grouped.lo, grouped.sizes
+        del map_outputs, grouped  # the shuffled rows are a copy
+        t2 = time.perf_counter()
+        counters.add("reduce_input_records", len(rows))
+        if len(rows):
+            if not (0 <= lo and lo + len(sizes) <= group_count):
+                raise _outside(group_count)
+            try:
+                results = _reduce(rows, sizes, agg)
+            except AggregateError as exc:  # a reducer names its group by slot
+                where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
+                raise EngineError(f"{where}: {exc}") from exc
+            values = _scatter(results, lo + np.flatnonzero(sizes), group_count)
+    if values is None:
         values = [None] * group_count
     t3 = time.perf_counter()
 
     return JobResult(
         values=values,
         counters=counters,
-        timings={
-            "map": t1 - t0,
+        timings={  # merges on arrival count as reduce time
+            "map": t1 - t0 - merge_s,
             "shuffle": t2 - t1,
-            "reduce": t3 - t2,
+            "reduce": t3 - t2 + merge_s,
             "total": t3 - t0,
         },
     )

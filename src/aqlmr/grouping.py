@@ -316,7 +316,8 @@ class _Windows(Membership):
             last = np.minimum(np.arange(a + p, b + p + 1) // s, n - 1)
             axes.append(_expand(np.arange(b - a + 1), first, last - first + 1))
         positions, windows = zip(*axes)
-        cells = _ravel(positions, region.shape)
+        # a tiling lattice puts every cell in one window per dimension
+        cells = np.arange(region.cell_count) if self._tiles else _ravel(positions, region.shape)
         gids = _ravel(windows, self._counts)
         if keep is not None:
             kept = keep.ravel()[cells]
@@ -452,7 +453,10 @@ def _ravel(axes: list, counts) -> np.ndarray:
 
 
 def _expand(items: np.ndarray, first: np.ndarray, counts: np.ndarray):
-    """Each item ``counts`` times, beside the ids first, first + 1, ..."""
+    """Each item ``counts`` times, beside the ids first, first + 1, ...:
+    the items and ``first`` themselves where every count is 1."""
+    if (counts == 1).all():
+        return items, first
     ids = np.repeat(first + counts - np.cumsum(counts), counts)
     ids += np.arange(len(ids))
     return np.repeat(items, counts), ids

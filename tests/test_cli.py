@@ -270,6 +270,20 @@ class TestRun:
         assert doc["counters"]["map_input_records"] == 256
         assert set(doc["timings"]) == {"map", "shuffle", "reduce", "total"}
 
+    @pytest.mark.parametrize("mode", ["naive", "optimized"])
+    def test_report_counts_minor_faults(self, data_dir, tmp_path, mode):
+        """The report gives the minor page faults of the process across
+        run_job, a strict-JSON integer of at least 0."""
+        report = tmp_path / "r.json"
+        argv = ["run", "--query", GRID_Q, "--data-dir", str(data_dir), "--mode", mode]
+        assert main(argv + ["--report", str(report)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"bare {token} in the report")
+
+        faults = json.loads(report.read_text(), parse_constant=refuse)["minor_faults"]
+        assert type(faults) is int and faults >= 0
+
     def test_null_groups_in_report(self, data_dir, tmp_path):
         report = tmp_path / "r.json"
         rc = main(
