@@ -127,6 +127,18 @@ for line in lines:
 EOF
   done
 done
+# one int64 ramp in 4x4 chunks and in ragged 5x7 ones: a ring's own
+# rings, looked up once per band, do not depend on how the array is cut
+aqlmr gen-data --name Q --dims 16x16 --chunk 4x4 --element-type int64 --fill ramp --out-dir ./even
+aqlmr gen-data --name Q --dims 16x16 --chunk 5x7 --element-type int64 --fill ramp --out-dir ./ragged
+for q in "select median(val) from Q hierarchical as (radius 1 step 2)" \
+  "select sum(val) from Q hierarchical as (radius 0 step 3)" \
+  "select sum(val) from between (Q, 1, 2, 14, 15) where val > 40 circular as (radius 1 step 2)"; do
+  aqlmr run --mode naive --query "$q" --data-dir ./even | grep "^group " > even.txt
+  aqlmr run --mode naive --query "$q" --data-dir ./ragged | grep "^group " > ragged.txt
+  test -s even.txt
+  diff even.txt ragged.txt
+done
 # on U, whose float sums change with their order, a grid block and its
 # tumbling window still print the same 16 group lines: one fold order
 aqlmr run --query "select avg(val) from U where val > 0.3 grid as (partition by x 8, y 8)" --data-dir ./data | grep "^group " > grid-u.txt

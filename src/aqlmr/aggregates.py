@@ -21,7 +21,9 @@ merge_groups and holistic_results, counts the rows of each slot, so no hook
 groups them itself. The shuffle groups a reducer's rows and
 Membership.fold a map task's, both through _span. holistic_results gets the
 values alone, in slot order (the shuffle merges the naive map's sorted runs,
-or the reduce sorts the values once), and reads each group as one slice.
+or the reduce sorts the values once), and reads each group as one slice;
+the column and the tables group_results gets are the engine's own, which a
+hook may overwrite (MEDIAN selects in place, AVG divides in place).
 The base class derives each hook from the scalar hooks with a loop, so an
 aggregator that defines only the scalar hooks runs in both modes. Only
 custom aggregators take that loop: the built-ins (builtin_aggregates.py)
@@ -195,7 +197,9 @@ class Aggregator:
     def holistic_results(self, values: np.ndarray, sizes: np.ndarray) -> list:
         """holistic_result of each group's values, for each slot some value
         reaches, by ascending slot: the values come grouped, sizes[s] of
-        them for each slot s, in input order within a slot."""
+        them for each slot s, in input order within a slot. The column is
+        the caller's own copy, and the hook may reorder the values within
+        each group (MEDIAN's selects in place)."""
         vals = values.tolist()
         present = np.flatnonzero(sizes)
         ends = np.cumsum(sizes[present]).tolist()

@@ -25,12 +25,13 @@ ufunc.reduceat, in another order, so float window sums can differ from a
 sequential fold in their last bits. The cells a ``where`` filter drops get the combine's
 neutral value by bit masks (_fill_dropped), not np.where. The code sticks to a
 few numpy kernels (bincount, ufunc.at, ufunc.reduceat, bitwise and/xor,
-stable argsort, cumsum, repeat and indexing, np.sort and np.partition):
+stable argsort, cumsum, repeat and indexing, sort and partition):
 each new kernel maps more of numpy's code into every process that runs a
 query. The sorts and the partition earn their pages in MEDIAN's reduce,
 which needs only each group's two middle values: in a large group a
 selection (introselect) takes linear time where a sort takes n log n, and
-in a small one numpy's SIMD sort beats the partition's per-row cost. The
+in a small one numpy's SIMD sort beats the partition's per-row cost. Both
+work in place in the shuffle's column, which no later stage reads. The
 stable sort serves MEDIAN's signed-zero re-read, which must meet the zeros
 in input order, as sorted() does.
 """
@@ -288,8 +289,11 @@ class Avg(_Columnar):
         return summary.aggregate / summary.count
 
     def group_results(self, table: Summaries) -> list:
+        """Each group's sum over its count. A float table's aggregate
+        column is divided in place, so only a table the job owns (the
+        merge's or the fold's) may come here."""
         if table.aggregate.dtype == np.float64:
-            return (table.aggregate / table.count).tolist()
+            return np.divide(table.aggregate, table.count, out=table.aggregate).tolist()
         # Python's int / int is correctly rounded; int64 -> float64 first is not
         return [s / n for s, n in zip(table.aggregate.tolist(), _counts(table.count))]
 
@@ -400,11 +404,13 @@ class Median(Aggregator):
     once, stably), with the group sizes the shuffle counted. _middles takes
     the lower and upper middle values of all groups of one size, the rows
     of one 2-D block, with one call per distinct size, not per group:
-    np.partition selects them in large groups, numpy's default sort orders
-    small ones. Neither is stable, and among equal floats only -0.0 and 0.0
-    differ, so in a column that holds both, a group whose middle value is a
-    zero re-reads its middle values from a stable sort of its input-ordered
-    values, as sorted() does."""
+    partition selects them in large groups, numpy's default sort orders
+    small ones, each in place in the shuffle's column. Neither is stable,
+    and among equal floats only -0.0 and 0.0 differ, so in a column that
+    holds both, which is known before selecting (partition and sort keep
+    each group's values), the selection works in a copy, and a group whose
+    middle value is a zero re-reads its middle values from a stable sort of
+    its input-ordered values, as sorted() does."""
 
     name = "median"
     algebraic = False
@@ -427,25 +433,31 @@ class Median(Aggregator):
 
     def holistic_results(self, values: np.ndarray, sizes: np.ndarray) -> list:
         """statistics.median of each group, by ascending slot (see the class
-        docstring)."""
-        if values.dtype.kind == "f":
-            bad = np.isnan(values)
-            if bad.any():  # the lowest group with a NaN holds the first one
-                slot = np.searchsorted(np.cumsum(sizes), bad.argmax(), "right")
-                raise _in_group(AggregateDataError("NaN value in input"), slot)
+        docstring). It reorders ``values`` within each group."""
         n = sizes[sizes > 0]
         starts = np.cumsum(n) - n
-        lower, upper = _middles(values, starts, n)
+        if values.dtype.kind == "f":
+            least = values.min(initial=np.inf)  # NaN where the column holds one
+            if np.isnan(least):  # the lowest group with a NaN holds the first one
+                slot = np.searchsorted(np.cumsum(sizes), np.isnan(values).argmax(), "right")
+                raise _in_group(AggregateDataError("NaN value in input"), slot)
         if values.dtype != np.float64:  # exact in Python ints, no int64 overflow
+            lower, upper = _middles(values, starts, n)
             return [
                 u if k % 2 else (l + u) / 2
                 for l, u, k in zip(lower.tolist(), upper.tolist(), n.tolist())
             ]
-        zero = np.flatnonzero((lower == 0) | (upper == 0))
-        if len(zero):
+        # selecting keeps each group's values, so whether the column holds
+        # both signed zeros is known before it; only then may a zero middle
+        # value need the input order, and the selection a copy
+        mixed = False
+        if least <= 0:
             signs = np.signbit(values[values == 0])
-            if signs.any() and not signs.all():
-                lower[zero], upper[zero] = _middles(values, starts[zero], n[zero], "stable")
+            mixed = signs.any() and not signs.all()
+        lower, upper = _middles(values.copy() if mixed else values, starts, n)
+        if mixed:
+            zero = np.flatnonzero((lower == 0) | (upper == 0))
+            lower[zero], upper[zero] = _middles(values, starts[zero], n[zero], "stable")
         with np.errstate(invalid="ignore", over="ignore"):  # as Python floats do
             middle = (lower + upper) / 2
         odd = np.flatnonzero(n - 2 * (n >> 1))
@@ -453,7 +465,7 @@ class Median(Aggregator):
         return middle.tolist()
 
 
-# the smallest group size whose middle values np.partition selects: below
+# the smallest group size whose middle values partition selects: below
 # it numpy's per-row cost of partition (and of the max of a short row)
 # exceeds its SIMD sort, e.g. 4,096 groups of 16 float64 sort in about a
 # third of the time
@@ -462,15 +474,16 @@ _SELECT_SIZE = 512
 
 def _middles(column: np.ndarray, starts: np.ndarray, sizes: np.ndarray, kind=None):
     """The lower and upper middle values of the groups whose values are
-    column[start:start + size]: in a group of _SELECT_SIZE values or more,
-    the upper one selected by np.partition (the lower one of an even group
-    is the largest value the partition puts before it); in a smaller one,
-    or with ``kind``, both read from a sort (numpy's default, or ``kind``).
-    All groups of one size are the rows of one 2-D block (a slice of the
-    column when the size has one group), partitioned or sorted along its
-    rows by one call, so the loop runs once per distinct size. One kth,
-    not the two middle ones: numpy selects one kth several times faster
-    than two."""
+    column[start:start + size], selected or sorted in place: in a group of
+    _SELECT_SIZE values or more, the upper one selected by partition (the
+    lower one of an even group is the largest value the partition puts
+    before it); in a smaller one, or with ``kind``, both read from a sort
+    (numpy's default, or ``kind``). All groups of one size are the rows of
+    one 2-D block, partitioned or sorted along its rows by one call, so the
+    loop runs once per distinct size: a view of the column when the groups
+    lie back to back (one group always does), else a gathered copy. One
+    kth, not the two middle ones: numpy selects one kth several times
+    faster than two."""
     lower = np.empty(len(sizes), column.dtype)
     upper = np.empty(len(sizes), column.dtype)
     by_size = group_order(sizes)
@@ -479,18 +492,19 @@ def _middles(column: np.ndarray, starts: np.ndarray, sizes: np.ndarray, kind=Non
     for size in np.flatnonzero(tally).tolist():
         rows = by_size[first : first + tally[size]]
         first += len(rows)
-        if len(rows) == 1:  # a view: np.partition and np.sort copy it
-            start = int(starts[rows[0]])
-            block = column[None, start : start + size]
+        at = starts[rows]
+        start = int(at[0])
+        if len(rows) == 1 or (np.diff(at) == size).all():
+            block = column[start : start + len(rows) * size].reshape(len(rows), size)
         else:
-            block = column[starts[rows, None] + np.arange(size)]
+            block = column[at[:, None] + np.arange(size)]
         k = size >> 1
         if kind is None and size >= _SELECT_SIZE:
-            block = np.partition(block, k, axis=1)
+            block.partition(k, axis=1)
             # an even group's lower middle value is the largest before k
             lower[rows] = block[:, k] if size % 2 else block[:, :k].max(axis=1)
         else:
-            block = np.sort(block, axis=1, kind=kind)
+            block.sort(axis=1, kind=kind)
             lower[rows] = block[:, (size - 1) >> 1]
         upper[rows] = block[:, k]
     return lower, upper

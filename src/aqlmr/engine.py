@@ -191,12 +191,14 @@ def _map_band(
     """The map tasks of a band's splits, each output as it returns: the
     membership's band fold where it gives one (optimized), which holds
     every split's rows in split order, else each split's own task on its
-    block."""
+    block, through the membership over the band's box (rings: each cell's
+    own ring looked up once for the band)."""
     folded = None if agg is None else membership.fold_band(band, agg)
     if folded is not None:
         counters.add("map_output_records", len(folded))
         yield folded
         return
+    membership = membership.over(band.box)
     for split, block, keep in band.blocks():
         try:
             out = _map_block(split, block, keep, membership, agg, counters)

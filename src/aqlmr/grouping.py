@@ -27,10 +27,16 @@ reaches the cells whose squared distance from the centroid is at most
 (radius0 + k*step)**2, one exact integer comparison and no square root: a
 circular cell's squared distance is the sum of its squared offsets, and a
 hierarchical cell's own ring is the largest of its offsets' rings. The
-squares are int64 columns, or Python ints once a region's farthest squared
-distance reaches 2**63, and a region looks its cells up, with one
+squares are int64 columns, or Python ints once a box's farthest squared
+distance reaches 2**63, and a box looks its cells up, with one
 searchsorted, among the squared radii of the rings from its nearest cell
-to its farthest, however many rings the box has.
+to its farthest, however many rings the query has. A cell's own ring does
+not depend on the box it is looked up in, so the map looks own rings up
+once per band: the membership over a band's box (Membership.over) holds
+one table of every cell's own ring (_own_rings), and each split reads its
+own columns of it, applies its mask and the cut past the last ring, and
+gives its own output, as before. A region mapped alone (a lone split, one
+cell) is a band of its own: one table function serves both.
 
 A compiled Membership defines each shape's membership once, for a whole
 region at a time (the engine's map), from per-dimension index ranges
@@ -266,6 +272,12 @@ class Membership:
         cell."""
         raise NotImplementedError
 
+    def over(self, box: BoundingBox) -> "Membership":
+        """This membership for the regions of one band, whose box is
+        ``box``: one that derives what its regions share once for the whole
+        box (rings: each cell's own ring). Itself by default."""
+        return self
+
     def fold(
         self, region: BoundingBox, block: np.ndarray, keep: np.ndarray | None, agg: "Aggregator"
     ) -> Summaries:
@@ -468,16 +480,17 @@ def _ring_of(d2: int, params: RingParams) -> int:
     return max(-((params.radius0 - _ceil_sqrt(d2)) // params.step), 0)
 
 
-def _ring_members(geom: GroupGeometry, region: BoundingBox, keep):
-    """The kept cells of a region, each with its own ring and its ring count
-    (0 past the last ring): a circular cell's own ring is that of its summed
-    squared offsets, a hierarchical cell's the largest of its offsets' rings
-    (the Chebyshev distance is the largest offset), each looked up among the
-    squared radii of the rings from the region's nearest cell to its
-    farthest."""
+def _own_rings(geom: GroupGeometry, box: BoundingBox) -> np.ndarray:
+    """The own ring of every cell of ``box``, an int64 array of the box's
+    shape, group_count past the last ring: a circular cell's own ring is
+    that of its summed squared offsets, a hierarchical cell's the largest
+    of its offsets' rings (the Chebyshev distance is the largest offset),
+    each looked up among the squared radii of the rings from the box's
+    nearest cell to its farthest. A cell's own ring does not depend on the
+    box it is looked up in."""
     params = geom.params
     assert isinstance(params, RingParams) and geom.centroid is not None
-    spans = [(l - z, h - z) for l, h, z in zip(region.lo, region.hi, geom.centroid)]
+    spans = [(l - z, h - z) for l, h, z in zip(box.lo, box.hi, geom.centroid)]
     near = [max(a, -b, 0) ** 2 for a, b in spans]  # per dimension, the least squared offset
     far = [max(-a, b) ** 2 for a, b in spans]
     chebyshev = geom.kind == "hierarchical"
@@ -488,28 +501,47 @@ def _ring_members(geom: GroupGeometry, region: BoundingBox, keep):
     radii = [min((params.radius0 + k * params.step) ** 2, hi) for k in range(first, last + 1)]
     radii = np.array(radii, dtype)
     squares = np.ix_(*(np.arange(a, b + 1, dtype=dtype) ** 2 for a, b in spans))
-    cells = np.arange(region.cell_count) if keep is None else np.flatnonzero(keep)
     if chebyshev:
         own = reduce(np.maximum, (np.searchsorted(radii, sq) for sq in squares))
-        own = own.ravel()[cells]
     else:
-        own = np.searchsorted(radii, reduce(np.add, squares).ravel()[cells])
+        own = np.searchsorted(radii, reduce(np.add, squares))
     own += first
-    rings = np.maximum(geom.group_count - own, 0)  # the cell's ring and all outer ones
-    if params.mode == "disjoint":
-        rings = np.minimum(rings, 1)
-    return cells, own, rings
+    return own
 
 
 class _Rings(Membership):
-    """Ring membership: each kept cell expanded into its rings."""
+    """Ring membership: each kept cell expanded into its rings. A cell's
+    own ring comes from one table (_own_rings) over the box of the band
+    being mapped (``over``), whose splits each read their own columns of
+    it; a region mapped alone (a lone split, one cell) is a band of its
+    own."""
 
-    def __init__(self, geom: GroupGeometry) -> None:
+    def __init__(
+        self, geom: GroupGeometry, table: tuple[BoundingBox, np.ndarray] | None = None
+    ) -> None:
         super().__init__(geom.box)
         self._geom = geom
+        self._table = table  # the band's box and its own-ring table
+
+    def over(self, box):
+        return type(self)(self._geom, (box, _own_rings(self._geom, box)))
+
+    def _members(self, region: BoundingBox, keep: np.ndarray | None):
+        """The kept cells of a region, each with its own ring and its ring
+        count (0 past the last ring)."""
+        box, own = self._table or (region, _own_rings(self._geom, region))
+        own = own[tuple(slice(l - b, h - b + 1) for l, h, b in zip(region.lo, region.hi, box.lo))]
+        if keep is None:
+            cells, own = np.arange(own.size), own.flatten()  # a copy: its callers own it
+        else:
+            cells, own = np.flatnonzero(keep), own[keep]
+        rings = np.maximum(self._geom.group_count - own, 0)  # the cell's ring and all outer ones
+        if self._geom.params.mode == "disjoint":
+            rings = np.minimum(rings, 1)
+        return cells, own, rings
 
     def block(self, region, keep=None):
-        return _expand(*_ring_members(self._geom, region, keep))
+        return _expand(*self._members(region, keep))
 
 
 class _NestedRings(_Rings):
@@ -526,7 +558,7 @@ class _NestedRings(_Rings):
         k or less, one mask each below the largest own ring, and from it on
         every cell; the kept cells' values are gathered once, before the
         runs repeat them."""
-        cells, own, rings = _ring_members(self._geom, region, keep)
+        cells, own, rings = self._members(region, keep)
         inside = rings > 0
         if not inside.all():
             cells, own = cells[inside], own[inside]

@@ -441,6 +441,11 @@ class Band:
     data: np.ndarray
     keep: np.ndarray | None
 
+    @property
+    def box(self) -> BoundingBox:
+        """The box the band's splits cover together."""
+        return BoundingBox(self.splits[0].region.lo, self.splits[-1].region.hi)
+
     def blocks(self) -> Iterator[tuple[ArraySplit, np.ndarray, np.ndarray | None]]:
         """Each split with its block and mask, in split order: contiguous
         copies of their slices of the band (the band itself for a band of

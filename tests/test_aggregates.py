@@ -1,6 +1,7 @@
 import math
 import statistics
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from aqlmr import (
     register_aggregator,
     run_job,
 )
+from aqlmr import builtin_aggregates
 from aqlmr.aggregates import _span, group_order
 from oracles import aggregate_direct
 
@@ -270,6 +272,32 @@ class TestMedian:
         ]
         got = default_registry().get("median").holistic_results(*grouped(gids, values))
         assert list(map(repr, got)) == list(map(repr, want))
+
+    @pytest.mark.parametrize("mixed", [True, False])
+    def test_selection_copies_only_a_column_of_both_signed_zeros(self, mixed):
+        """Groups of 604 (partitioned) and 4 (sorted) values whose middle
+        values are zeros. With both 0.0 and -0.0 in the column, the hook
+        selects in a copy and re-reads the zero middles in input order:
+        statistics.median's results, signed zeros included. With one kind
+        of zero, it selects in the column itself. Either way each group
+        keeps its values."""
+        gids, values = _middle_zeros({0: "+--+", 1: "-++-"}, extra=4)
+        if not mixed:
+            values = np.abs(values)
+        want = [statistics.median(values[gids == g].tolist()) for g in (0, 1, 999)]
+        column, sizes = grouped(gids, values)
+        before = column.copy()
+        with mock.patch.object(
+            builtin_aggregates, "_middles", wraps=builtin_aggregates._middles
+        ) as middles:
+            got = default_registry().get("median").holistic_results(column, sizes)
+        assert list(map(repr, got)) == list(map(repr, want))
+        assert (middles.call_args_list[0].args[0] is column) != mixed
+        ends = np.cumsum(sizes[sizes > 0]).tolist()
+        for a, b in zip([0, *ends], ends):
+            assert sorted(column[a:b].tolist()) == sorted(before[a:b].tolist())
+        if mixed:  # the zero middles were re-read from the column in input order
+            assert middles.call_count == 2 and middles.call_args_list[1].args[0] is column
 
 
 class Picky(Aggregator):
