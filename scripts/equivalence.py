@@ -8,6 +8,9 @@ package (a repository root is taken to mean its ``src``). The corpus is:
 * ``tests/corpus.ALL_QUERIES``, the queries over the large L1 and L2
   arrays scaled down 64 times (coordinates and partition sizes);
 * MEDIAN over every shape, with and without a ``where`` filter;
+* two custom aggregators over the same shapes: the README's algebraic
+  ``vrange`` (ValueRange) and a holistic ``distinct`` (the number of
+  distinct values), which each tree's worker registers;
 * the seed-1 queries of the four perfbench workloads
   (``perfbench/workloads.py``, only imported), on arrays of their sizes.
 
@@ -59,12 +62,55 @@ SMALL_ARRAYS = {
 }
 LARGE_ARRAYS = {name: ("Val", (("x", 512, 64), ("y", 512, 64))) for name in ("L1", "L2")}
 
-MEDIAN_SHAPES = (
+SHAPES = (
     "grid as (partition by x 5, y 3)",
     "fixed window as (partition by x 1 preceding and 2 following, y 2 preceding and 0 following stride 2)",
     "hierarchical as (radius 1 step 2)",
     "circular as (radius 2 step 1)",
 )
+
+
+CUSTOM = ("vrange", "distinct")
+
+
+def register_custom(aqlmr) -> None:
+    """Register the custom aggregators of CUSTOM in the tree's default
+    registry, built on its own Aggregator."""
+
+    class ValueRange(aqlmr.Aggregator):  # as the README defines it
+        name = "vrange"
+        uses_ext = True  # aggregate=min so far, ext=max so far
+
+        def update_in_map(self, summary, value):
+            if summary.count == 0:
+                summary.aggregate = summary.ext = value
+            else:
+                summary.aggregate = min(summary.aggregate, value)
+                summary.ext = max(summary.ext, value)
+            summary.count += 1
+
+        def update_in_reduce(self, summary, other):
+            if other.count == 0:
+                return
+            if summary.count == 0:
+                summary.aggregate, summary.ext = other.aggregate, other.ext
+            else:
+                summary.aggregate = min(summary.aggregate, other.aggregate)
+                summary.ext = max(summary.ext, other.ext)
+            summary.count += other.count
+
+        def get_agg_result(self, summary):
+            return None if summary.count == 0 else summary.ext - summary.aggregate
+
+    class Distinct(aqlmr.Aggregator):
+        name = "distinct"
+        algebraic = False
+
+        def holistic_result(self, values):
+            return len(set(values))
+
+    for agg in (ValueRange(), Distinct()):
+        aqlmr.register_aggregator(agg)
 
 
 def _load(name: str, path: Path):
@@ -93,9 +139,10 @@ def corpus(quick: bool):
     queries = _load("corpus", ROOT / "tests" / "corpus.py").ALL_QUERIES
     arrays = dict(SMALL_ARRAYS)
     texts = [t for t in queries if not re.search(r"\bL\d\b", t)]
-    for shape in MEDIAN_SHAPES:
-        texts += [f"select median(val) from A {shape}", f"select median(val) from A where val > 0.3 {shape}"]
-    texts += ["select median(val) from B grid as (partition by t 9)", "select median(val) from C hierarchical as (radius 0 step 1)"]
+    for agg in ("median", *CUSTOM):
+        for shape in SHAPES:
+            texts += [f"select {agg}(val) from A {shape}", f"select {agg}(val) from A where val > 0.3 {shape}"]
+        texts += [f"select {agg}(val) from B grid as (partition by t 9)", f"select {agg}(val) from C hierarchical as (radius 0 step 1)"]
     jobs = [(t, 1) for t in texts]
     if not quick:
         arrays.update(LARGE_ARRAYS)
@@ -152,6 +199,7 @@ def worker(tree: str, data_dir: str, jobs_file: str, out_file: str) -> None:
 
     if not Path(aqlmr.__file__).resolve().is_relative_to(Path(tree).resolve()):
         raise SystemExit(f"imported aqlmr from {aqlmr.__file__}, not from {tree}")
+    register_custom(aqlmr)
     catalog = aqlmr.Catalog.load_dir(data_dir)
     outcomes = []
     for text, mode, workers in json.loads(Path(jobs_file).read_text()):

@@ -11,34 +11,23 @@ The summary keeps a running aggregate and a count; aggregators that need a
 second accumulator (STDDEV's sum of squared deviations, custom ones) use the
 ext slot.
 
-The engine works on whole columns through four vector hooks: fold_groups
-(update_in_map for every (group, value) pair), merge_groups
-(update_in_reduce for every summary row), group_results (get_agg_result per
-group) and holistic_results (holistic_result per group). Every hook gets its
-rows grouped, whether a map task folds them or a reducer: their ids are
-slots 0..len(sizes)-1, and ``sizes``, a required argument of fold_groups,
-merge_groups and holistic_results, counts the rows of each slot, so no hook
-groups them itself. The shuffle groups a reducer's rows and
-Membership.fold a map task's, both through _span. holistic_results gets the
-values alone, in slot order (the shuffle merges the naive map's sorted runs,
-or the reduce sorts the values once), and reads each group as one slice;
-the column and the tables group_results gets are the engine's own, which a
-hook may overwrite (MEDIAN selects in place, AVG divides in place).
-The base class derives each hook from the scalar hooks with a loop, so an
-aggregator that defines only the scalar hooks runs in both modes. Only
-custom aggregators take that loop: the built-ins (builtin_aggregates.py)
-override the vector hooks with numpy, derived from the ``combine`` kind a
-built-in declares (sum, count, minimum or maximum), which also lets the
-optimized map of a window lattice (grids and sliding windows) compute every
-window's summary with a kernel (window_aggregate, called by grouping's
-lattice folds: shifted slabs for windows that overlap or leave gaps, the
-pieces of a band or split for windows that tile the box) instead of
-fold_groups, and lets the reduce of an optimized job merge each map output
-as it arrives (start and merge_into on a table indexed by group id) instead
-of merge_groups over the shuffle's whole table. The engine calls
-merge_groups, with the shuffled table, only for an aggregator without a
-combine kind (STDDEV and custom ones); group_results then gets the groups
-that some row reached, every group's as a table without a gid column.
+The engine works on whole columns through five vector hooks: fold_groups
+(update_in_map of every (group, value) pair), start and merge_into
+(update_in_reduce of every summary row into a Merged table indexed by
+slot), group_results (get_agg_result per group) and holistic_results
+(holistic_result per group). fold_groups and holistic_results get their
+rows grouped: the ids are slots 0..len(sizes)-1, and ``sizes``, a required
+argument, counts the rows of each (see _span); holistic_results gets the
+values alone, in slot order. An optimized reduce merges each map output
+into one table as it arrives (as Yu, Gunda and Isard's distributed
+aggregation does, SOSP 2009), so merge_into takes rows of any ids, in any
+number of calls; group_results gets the reached groups, or every group's
+as a table without a gid column. A hook may overwrite the column or table
+it gets (MEDIAN selects in place, AVG divides in place). The base class
+derives each hook from the scalar hooks with a loop, which only custom
+aggregators take: the built-ins (builtin_aggregates.py) override them with
+numpy, derived from the ``combine`` kind a built-in declares (sum, count,
+minimum or maximum), which also gives the window lattices' kernel.
 """
 
 from __future__ import annotations
@@ -90,25 +79,52 @@ class Summaries:
         ext = [None] * len(self) if self.ext is None else self.ext.tolist()
         return list(map(AggSummary, self.aggregate.tolist(), _counts(self.count), ext))
 
-    @classmethod
-    def from_rows(cls, gids: list[int], summaries: list[AggSummary]) -> "Summaries":
-        ext = [s.ext for s in summaries]
-        return cls(
-            np.array(gids, dtype=np.int64),
-            _objects([s.aggregate for s in summaries]),
-            _objects([s.count for s in summaries]),
-            None if all(e is None for e in ext) else _objects(ext),
-        )
+
+@dataclass
+class Merged:
+    """Summaries merged by slot (Aggregator.start and merge_into): row s of
+    each column is slot s's summary once a row has reached it, which
+    ``reached`` marks (None: a slot is reached when its count is not 0). A
+    float maximum is kept negated (``flip``), STDDEV's mean as a shift from
+    ``ref``, until ``rows`` reads them; ``peak`` and ``seen`` are an int64
+    sum's running bound, the largest |v| and the rows merged so far."""
+
+    aggregate: np.ndarray
+    count: np.ndarray
+    ext: np.ndarray | None = None
+    flip: bool = False
+    ref: np.ndarray | None = None
+    peak: int = 0
+    seen: int = 0
+    reached: np.ndarray | None = None
+
+    def present(self) -> np.ndarray | None:
+        """The slots some row reached, by ascending slot, or None when
+        every slot is (no index array is made then)."""
+        reached = self.count if self.reached is None else self.reached
+        return None if np.count_nonzero(reached) == len(reached) else np.flatnonzero(reached)
+
+    def rows(self, present: np.ndarray | None) -> Summaries:
+        """The summaries of the slots in ``present``, by ascending slot, or
+        of every slot (None), a table with no gid column. The columns are
+        given up to it: a negated maximum is negated back, and a shifted
+        mean has its reference added back, in place."""
+        if self.flip:
+            self.aggregate *= -1.0
+            self.flip = False
+        if self.ref is not None:
+            self.aggregate += self.ref
+            self.ref = None
+        columns = (self.aggregate, self.count, self.ext)
+        if present is not None and len(present) < len(self.count):  # keep the reached slots
+            columns = (None if c is None else c[present] for c in columns)
+        return Summaries(present, *columns)
 
 
 def _counts(column: np.ndarray) -> list[int]:
     """A count column as Python ints, whatever its dtype (the built-ins
     count in float64, the scalar loop in Python ints)."""
     return list(map(int, column.tolist()))
-
-
-def _objects(items: list) -> np.ndarray:
-    return np.fromiter(items, dtype=object, count=len(items))
 
 
 def group_order(gids: np.ndarray) -> np.ndarray:
@@ -143,10 +159,9 @@ class Aggregator:
     name: str = ""
     algebraic: bool = True
     uses_ext: bool = False
-    # built-ins only (builtin_aggregates._Columnar): the summary's merge
-    # law, "sum", "min" or "max" of the lifted values with their count, or
-    # "count" alone; the scalar merge, the column merge and window_aggregate,
-    # which the optimized lattice maps call, all follow it. None: the
+    # built-ins only (builtin_aggregates._Columnar): the summary's merge law,
+    # "sum", "min" or "max" of the lifted values with their count, or "count"
+    # alone, which its hooks and window_aggregate follow. None: the
     # aggregator merges by its own hooks, and grids and windows fold pairs
     combine: str | None = None
 
@@ -168,27 +183,36 @@ class Aggregator:
     def fold_groups(self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> Summaries:
         """update_in_map of each value into its group's summary, in input
         order: one row per group present, by ascending id. The ids are slots
-        and sizes[s] the rows of slot s (the scalar loop finds its groups
-        itself and ignores it)."""
-        return self._accumulate(gids.tolist(), values.tolist(), self.update_in_map)
+        and sizes[s] the rows of slot s."""
+        merged = Aggregator.start(self, len(sizes), values.dtype)  # the loop's own table
+        self._update(merged, gids, values.tolist(), self.update_in_map)
+        return merged.rows(np.flatnonzero(sizes))
 
-    def merge_groups(self, table: Summaries, sizes: np.ndarray) -> Summaries:
-        """update_in_reduce of each group's rows, in row order: one row per
-        group present, by ascending id. ``sizes`` as for fold_groups."""
-        return self._accumulate(table.gid.tolist(), table.rows(), self.update_in_reduce)
+    def start(self, size: int, dtype: np.dtype) -> Merged:
+        """``size`` slots that no summary has reached, for the summaries of
+        values of ``dtype`` (the loop's columns hold any Python object)."""
+        columns = (np.full(size, None, object) for _ in range(3))
+        return Merged(*columns, reached=np.zeros(size, bool))
 
-    def _accumulate(self, gids: list[int], items: list, update) -> Summaries:
-        acc: dict[int, AggSummary] = {}
-        for gid, item in zip(gids, items):
-            summary = acc.get(gid)
-            if summary is None:
-                summary = acc[gid] = self.identity()
+    def merge_into(self, merged: Merged, row: np.ndarray, table: Summaries) -> None:
+        """update_in_reduce of each row of ``table`` into slot ``row[i]`` of
+        ``merged``, in row order and in place, as one call or over many."""
+        self._update(merged, row, table.rows(), self.update_in_reduce)
+
+    def _update(self, merged: Merged, row: np.ndarray, items: list, update) -> None:
+        """``update`` of each item into its slot's summary (identity until
+        an item reaches it), in item order. An error names the slot."""
+        aggregate, count, ext = merged.aggregate, merged.count, merged.ext
+        for slot, item in zip(row.tolist(), items):
+            if merged.reached[slot]:
+                summary = AggSummary(aggregate[slot], count[slot], ext[slot])
+            else:
+                summary, merged.reached[slot] = self.identity(), True
             try:
                 update(summary, item)
             except AggregateError as exc:
-                raise _in_group(exc, gid)
-        ids = sorted(acc)
-        return Summaries.from_rows(ids, [acc[g] for g in ids])
+                raise _in_group(exc, slot)
+            aggregate[slot], count[slot], ext[slot] = summary.aggregate, summary.count, summary.ext
 
     def group_results(self, table: Summaries) -> list:
         """get_agg_result of each row."""

@@ -11,11 +11,11 @@ kind-to-ufunc table, both the column merge and the window kernel
 lift (GEOMEAN's log). The column merge is one in-place step (merge_into)
 on columns indexed by slot (Merged, from start): np.add.at for sums and
 counts, np.minimum.at for minima and for negated float maxima, np.maximum.at
-for int64 maxima. merge_groups is start and that step over a whole table;
-the engine instead starts one table for the job's groups and takes the step
-once per map output as it arrives. STDDEV's Chan merge and holistic MEDIAN
-keep their own hooks. Sums accumulate in input order, so float results
-equal a sequential fold; int64 sums are exact, switching to Python ints
+for int64 maxima; the engine takes it once per map output as it arrives,
+and a fold once over its grouped values. STDDEV merges by Chan's law in
+its own merge_into, and holistic MEDIAN keeps its own hooks. Sums
+accumulate in input order, so float results equal a sequential fold;
+int64 sums are exact, switching to Python ints
 once their running bound (the largest |v| merged times the rows merged)
 reaches 2**63. The optimized maps of grids and
 sliding windows are the exception: window_aggregate sums each window of a
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +50,7 @@ from .aggregates import (
     AggregateError,
     Aggregator,
     AggSummary,
+    Merged,
     Summaries,
     _counts,
     _in_group,
@@ -82,34 +82,6 @@ def _exact_int64(column: np.ndarray, n: int) -> bool:
     """Whether int64 sums of up to ``n`` values of ``column`` are exact:
     it is int64 and max |v| * n < 2**63."""
     return column.dtype == np.int64 and _magnitude(column) * n < 2**63
-
-
-@dataclass
-class Merged:
-    """Summaries merged by slot: row s of each column is slot s's summary
-    (_Columnar.start and merge_into, or StdDev._merge). A float maximum is
-    kept negated (``flip``) until ``rows`` reads it. ``peak`` and ``seen``
-    are the running bound of an int64 sum: the largest |v| and the number
-    of rows merged so far."""
-
-    aggregate: np.ndarray
-    count: np.ndarray
-    ext: np.ndarray | None = None
-    flip: bool = False
-    peak: int = 0
-    seen: int = 0
-
-    def rows(self, present: np.ndarray | None) -> Summaries:
-        """The summaries of the slots in ``present``, by ascending slot, or
-        of every slot (None), a table with no gid column. The columns are
-        given up to it: a negated maximum is negated back in place."""
-        if self.flip:
-            self.aggregate *= -1.0
-            self.flip = False
-        columns = (self.aggregate, self.count, self.ext)
-        if present is not None and len(present) < len(self.count):  # keep the reached slots
-            columns = (None if c is None else c[present] for c in columns)
-        return Summaries(present, *columns)
 
 
 # the ufunc that combines two summaries' aggregates, by combine kind
@@ -178,7 +150,9 @@ class _Columnar(Aggregator):
     def fold_groups(self, gids: np.ndarray, values: np.ndarray, sizes: np.ndarray) -> Summaries:
         values = self.lift(gids, values)
         ext = np.zeros(len(values)) if self.uses_ext else None
-        return self.merge_groups(Summaries(gids, values, np.ones(len(values)), ext), sizes)
+        merged = self.start(len(sizes), values.dtype)
+        self.merge_into(merged, gids, Summaries(gids, values, np.ones(len(values)), ext))
+        return merged.rows(np.flatnonzero(sizes))
 
     def window_aggregate(self, block: np.ndarray, keep: np.ndarray | None, cells: int, slide):
         """Each window's aggregate column, as fold_groups gives it, from
@@ -210,18 +184,6 @@ class _Columnar(Aggregator):
         before lift: a value whose lift is the start value."""
         return _start(self.combine, dtype)
 
-    def merge_groups(self, table: Summaries, sizes: np.ndarray) -> Summaries:
-        if not len(table):
-            return table
-        return self._merge(table.gid, len(sizes), table).rows(np.flatnonzero(sizes))
-
-    def _merge(self, row: np.ndarray, size: int, table: Summaries) -> Merged:
-        """A table's rows merged by slot (row i goes to slot row[i] < size).
-        Slots no row reaches hold anything."""
-        merged = self.start(size, table.aggregate.dtype)
-        self.merge_into(merged, row, table)
-        return merged
-
     def start(self, size: int, dtype: np.dtype) -> Merged:
         """``size`` slots that no summary has reached, for aggregates of
         ``dtype``: each aggregate at the combine kind's start value (a
@@ -235,12 +197,12 @@ class _Columnar(Aggregator):
         return Merged(np.full(size, start, dtype), np.zeros(size), flip=flip)
 
     def merge_into(self, merged: Merged, row: np.ndarray, table: Summaries) -> None:
-        """update_in_reduce of each row of ``table`` (some row) into slot
-        ``row[i]`` of ``merged``, in row order and in place: one ufunc.at per column,
-        which adds in input order as a sequential fold does. int64 sums
-        turn into Python ints (an object column), which do not wrap, once
-        their running bound (the largest |v| merged times the rows merged)
-        reaches 2**63, as _exact_int64 bounds a whole column."""
+        """update_in_reduce of each row of ``table`` into slot ``row[i]`` of
+        ``merged``, in row order and in place: one ufunc.at per column, which
+        adds in input order as a sequential fold does. int64 sums turn into
+        Python ints (an object column), which do not wrap, once their running
+        bound (the largest |v| merged times the rows merged) reaches 2**63,
+        as _exact_int64 bounds a whole column."""
         np.add.at(merged.count, row, table.count)
         if self.combine == "count":
             return
@@ -248,7 +210,7 @@ class _Columnar(Aggregator):
         if merged.flip:
             np.minimum.at(merged.aggregate, row, values * -1.0)
             return
-        if merged.aggregate.dtype == np.int64 and self.combine == "sum":
+        if merged.aggregate.dtype == np.int64 and self.combine == "sum" and len(values):
             merged.seen += len(values)
             if values.dtype == np.int64:
                 merged.peak = max(merged.peak, _magnitude(values))
@@ -313,12 +275,9 @@ class StdDev(_Columnar):
     aggregate, count and ext slots. Summaries merge by the pairwise formula
     of Chan, Golub and LeVeque; folding a value in merges (value, 1, 0),
     which is Welford's update. Unlike a sum of squares, this keeps its
-    precision at large offsets.
-
-    The vector hooks merge a whole group at once: M2 adds the rows' M2 and
-    their squared deviations from the group's mean, both taken from one
-    member's mean so the sums stay small at large offsets. Results can
-    differ from the scalar fold in the last bits."""
+    precision at large offsets, all the more as the column merge takes
+    every delta from a reference mean. Results can differ from the scalar
+    fold in the last bits."""
 
     name = "stddev"
     uses_ext = True
@@ -338,19 +297,45 @@ class StdDev(_Columnar):
             return None
         return math.sqrt(summary.ext / summary.count)
 
-    def _merge(self, row, size, table):
-        weight = table.count
-        n = np.bincount(row, weights=weight, minlength=size)
+    def start(self, size: int, dtype: np.dtype) -> Merged:
+        """``size`` slots at 0, each mean kept as a shift from a reference."""
+        return Merged(np.zeros(size), np.zeros(size), np.zeros(size), ref=np.zeros(size))
+
+    def merge_into(self, merged: Merged, row: np.ndarray, table: Summaries) -> None:
+        """Chan's merge of each row of ``table`` into slot ``row[i]`` of
+        ``merged``, in place, reading no slot the table does not reach. The
+        rows are merged by slot over their own span of ids first, on deltas
+        from one member's mean; then each slot into the running table, on
+        deltas from its reference, the first such mean that reached it (a
+        slot reached for the first time takes the table's sums as they
+        are), so that the deltas and their squares stay small at large
+        offsets."""
+        if not len(row):
+            return
+        lo = int(row.min())
+        slot, weight = row - lo, table.count
+        n = np.bincount(slot, weights=weight)
         # inf - inf and overflowing squares give nan and inf, as Python floats
         # do; slots no row reaches divide 0 by 0
         with np.errstate(invalid="ignore", over="ignore"):
-            ref = np.zeros(size)
-            ref[row] = table.aggregate  # one member's mean per group
-            delta = table.aggregate - ref[row]
-            shift = np.bincount(row, weights=delta * weight, minlength=size) / n
-            delta -= shift[row]
-            m2 = np.bincount(row, weights=delta * delta * weight + table.ext, minlength=size)
-            return Merged(ref + shift, n, m2)
+            ref = np.zeros(len(n))
+            ref[slot] = table.aggregate  # one member's mean per slot
+            delta = table.aggregate - ref[slot]
+            shift = np.bincount(slot, weights=delta * weight) / n
+            delta -= shift[slot]
+            m2 = np.bincount(slot, weights=delta * delta * weight + table.ext)
+            hit = np.flatnonzero(n)
+            gid, n, ref, shift, m2 = hit + lo, n[hit], ref[hit], shift[hit], m2[hit]
+            had = merged.count[gid]
+            old = np.flatnonzero(had)  # slots an earlier table reached
+            if len(old):
+                at, had, add = gid[old], had[old], n[old]
+                delta = (ref[old] - merged.ref[at]) + (shift[old] - merged.aggregate[at])
+                ref[old], n[old] = merged.ref[at], had + add
+                shift[old] = merged.aggregate[at] + delta * (add / n[old])
+                m2[old] = merged.ext[at] + (m2[old] + delta * delta * (had * add / n[old]))
+            merged.ref[gid], merged.aggregate[gid] = ref, shift
+            merged.count[gid], merged.ext[gid] = n, m2
 
     def group_results(self, table: Summaries) -> list:
         return np.sqrt(table.ext / table.count).tolist()

@@ -1,20 +1,17 @@
 """Embedded map/shuffle/reduce executor for planned jobs.
 
 A job runs as one serial pass over whole columns: the splits are read and
-mapped a band at a time (storage.read_bands), in split order, the shuffle
-groups the map outputs, and the reduce folds every group at once, adding
-rows into each group in (split, emission) order, so results are the same
-from run to run. An optimized job whose aggregator declares a combine kind
-(every built-in but STDDEV and MEDIAN) skips the collecting shuffle and
-merges partial aggregates as they arrive, as Yu, Gunda and Isard's
-distributed aggregation does (SOSP 2009): each map output is counted as
-the shuffle and the reduce would count it, merged into one table indexed
-by group id (the aggregator's start and merge_into, one ufunc.at per
-column, in arrival order, which is the shuffle's row order), then freed;
-the reduce finishes the groups some row reached, and the merge time counts
-as reduce time. Other jobs keep every map output for the shuffle: STDDEV
-and custom aggregators, whose merge_groups takes a whole grouped table,
-and naive jobs. Each stage reads the form of its input, never a flag. A
+mapped a band at a time (storage.read_bands), in split order, and each map
+output goes to the reduce in that order, so results are the same from run
+to run. An optimized job merges its partial aggregates as they arrive, as
+Yu, Gunda and Isard's distributed aggregation does (SOSP 2009): each map
+output is counted as the shuffle and the reduce would count it, merged
+into one table indexed by group id (the aggregator's start and
+merge_into), then freed; the reduce finishes the groups some row reached,
+and the merge time counts as reduce time, the shuffle's as none. A naive
+job keeps every map output for the shuffle, which groups them, and the
+reduce folds every group at once, adding rows into each group in (split,
+emission) order. Each stage reads the form of its input, never a flag. A
 map emits what its membership builds: as a MapReduce map task sorts its
 output by key, a naive map emits its pairs group by group where the
 membership builds them so without sorting (Membership.pairs of nested
@@ -46,17 +43,14 @@ from __future__ import annotations
 import time
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .aggregates import AggregateError, Aggregator, Summaries, _span, group_order
+from .aggregates import AggregateError, Aggregator, Merged, Summaries, _span, group_order
 from .grouping import Membership, build_membership
 from .planner import JobPlan
 from .storage import ArraySplit, Band, StoreError, compute_splits, read_bands, read_block
-
-if TYPE_CHECKING:
-    from .builtin_aggregates import Merged
 
 KEY_BYTES = 8
 RAW_VALUE_BYTES = 8
@@ -139,18 +133,8 @@ def _concat(tables: list):
     # an empty table's columns may have another dtype (np.bincount of
     # nothing is int64), which would only cast the others
     tables = [t for t in tables if len(t)] or tables[:1]
-    columns = []
-    for f in fields(tables[0]):
-        parts = [getattr(t, f.name) for t in tables]
-        if all(p is None for p in parts):
-            columns.append(None)
-        else:  # an ext column only some tables have is None in the others
-            columns.append(
-                np.concatenate(
-                    [np.full(len(t), None, object) if p is None else p for t, p in zip(tables, parts)]
-                )
-            )
-    return type(tables[0])(*columns)
+    parts = ([getattr(t, f.name) for t in tables] for f in fields(tables[0]))
+    return type(tables[0])(*(None if p[0] is None else np.concatenate(p) for p in parts))
 
 
 def _map_block(
@@ -334,10 +318,8 @@ def summary_value_bytes(agg: Aggregator) -> int:
     return SUMMARY_EXT_BYTES if agg.uses_ext else SUMMARY_BYTES
 
 
-def _reduce(rows: Pairs | Summaries, sizes: np.ndarray, agg: Aggregator) -> list:
-    """The result of every slot some row reaches, by ascending slot."""
-    if isinstance(rows, Summaries):
-        return agg.group_results(agg.merge_groups(rows, sizes=sizes))
+def _reduce(rows: Pairs, sizes: np.ndarray, agg: Aggregator) -> list:
+    """The result of every slot some value reaches, by ascending slot."""
     gid, value = rows.gid, rows.value
     if not agg.algebraic:  # the values alone, side by side in slot order
         if gid is not None:
@@ -360,6 +342,12 @@ def _outside(group_count: int) -> EngineError:
     return EngineError(f"group id outside geometry (0..{group_count - 1})")
 
 
+def _reduce_error(exc: AggregateError, lo: int) -> EngineError:
+    """A reducer's error, naming its group by id (a hook names slot s, group lo + s)."""
+    where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
+    return EngineError(f"{where}: {exc}")
+
+
 def _arrive(
     merged: Merged | None,
     out: Summaries,
@@ -380,7 +368,10 @@ def _arrive(
         raise _outside(group_count)
     if merged is None:
         merged = agg.start(group_count, out.aggregate.dtype)
-    agg.merge_into(merged, out.gid, out)
+    try:
+        agg.merge_into(merged, out.gid, out)
+    except AggregateError as exc:  # the table's slots are group ids
+        raise _reduce_error(exc, 0) from exc
     return merged
 
 
@@ -415,21 +406,18 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     group_count = plan.geometry.group_count
     map_agg = agg if plan.mode == "optimized" else None
     value_bytes = RAW_VALUE_BYTES if map_agg is None else summary_value_bytes(agg)
-    # a combine kind's summaries merge into the group table as they arrive;
-    # other jobs keep their map outputs for the shuffle
-    arrive = map_agg is not None and agg.combine is not None
     merged = None
     merge_s = 0.0
 
     t0 = time.perf_counter()
-    map_outputs = []
+    map_outputs = []  # a naive job's, for the shuffle
     mapped = 0  # splits mapped so far: a failed read names the next one
     # closed at once when a map task raises, not when its traceback is freed
     with closing(read_bands(splits, plan.query.predicate, counters)) as bands:
         try:
             for band in bands:
                 for out in _map_band(band, membership, map_agg, counters):
-                    if not arrive:
+                    if map_agg is None:
                         map_outputs.append(out)
                         continue
                     t = time.perf_counter()
@@ -443,13 +431,16 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
     t1 = time.perf_counter()
 
     values = None  # no row reached any group
-    if arrive:
+    if map_agg is not None:
         t2 = t1
         if merged is not None:
-            reached = int(np.count_nonzero(merged.count))  # every row counts a cell
-            counters.add("shuffle_groups", reached)
-            present = None if reached == group_count else np.flatnonzero(merged.count)
-            values = _scatter(agg.group_results(merged.rows(present)), present, group_count)
+            present = merged.present()
+            counters.add("shuffle_groups", group_count if present is None else len(present))
+            try:
+                results = agg.group_results(merged.rows(present))
+            except AggregateError as exc:
+                raise _reduce_error(exc, 0) from exc
+            values = _scatter(results, present, group_count)
     else:
         grouped = shuffle(map_outputs, counters, value_bytes=value_bytes)
         rows, lo, sizes = grouped.rows, grouped.lo, grouped.sizes
@@ -461,9 +452,8 @@ def run_job(plan: JobPlan, workers: int = 1) -> JobResult:
                 raise _outside(group_count)
             try:
                 results = _reduce(rows, sizes, agg)
-            except AggregateError as exc:  # a reducer names its group by slot
-                where = "reduce" if exc.group is None else f"reduce (group {exc.group + lo})"
-                raise EngineError(f"{where}: {exc}") from exc
+            except AggregateError as exc:
+                raise _reduce_error(exc, lo) from exc
             values = _scatter(results, lo + np.flatnonzero(sizes), group_count)
     if values is None:
         values = [None] * group_count

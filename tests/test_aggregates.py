@@ -474,20 +474,24 @@ def law_cases(draw):
     return name, np.array(gids, np.int64), np.array(values, dtype), cut
 
 
-def results_or_error(fold, merge, finish, gids, values, cut):
-    """Fold each side of the cut, merge the two tables, finish: (group ids,
-    results), or the error's (type, message, group). Ids 0..3 are their own
-    slots: each hook gets its rows grouped, with the sizes of slots 0 to the
-    largest id."""
+def results_or_error(fold, start, merge, finish, gids, values, cut):
+    """Fold each side of the cut, merge the two tables into one started
+    table, one after the other as map outputs arrive, finish the slots
+    they reach: (group ids, results), or the error's (type, message,
+    group). Ids 0..3 are their own slots: each fold gets its rows grouped,
+    with the sizes of slots 0 to the largest id."""
     try:
         left, right = (
             fold(g, v, sizes=np.bincount(g))
             for g, v in ((gids[:cut], values[:cut]), (gids[cut:], values[cut:]))
         )
-        columns = ([p.gid, p.aggregate, p.count] for p in (left, right))
-        table = Summaries(*map(np.concatenate, zip(*columns)))
-        table = merge(table, sizes=np.bincount(table.gid))
-        return table.gid.tolist(), finish(table)
+        first = left if len(left) else right
+        merged = start(int(gids.max()) + 1, first.aggregate.dtype)
+        for table in (left, right):
+            merge(merged, table.gid, table)
+        present = merged.present()
+        ids = np.arange(len(merged.count)) if present is None else present
+        return ids.tolist(), finish(merged.rows(present))
     except (AggregateError, OverflowError) as exc:  # OverflowError: GEOMEAN's math.exp
         return type(exc), str(exc), getattr(exc, "group", None)
 
@@ -505,12 +509,13 @@ def test_scalar_and_column_paths_agree(case):
     agg = default_registry().get(name)
     scalar = results_or_error(
         partial(Aggregator.fold_groups, agg),
-        partial(Aggregator.merge_groups, agg),
+        partial(Aggregator.start, agg),
+        partial(Aggregator.merge_into, agg),
         partial(Aggregator.group_results, agg),
         gids, values, cut,
     )
     column = results_or_error(
-        agg.fold_groups, agg.merge_groups, agg.group_results, gids, values, cut
+        agg.fold_groups, agg.start, agg.merge_into, agg.group_results, gids, values, cut
     )
     if name in ("min", "max") and len(scalar) == 2 and len(column) == 2:
         scalar, column = (  # -0.0 reads as 0.0

@@ -471,21 +471,11 @@ def test_custom_aggregators_use_their_scalar_hooks(tmp_path, monkeypatch, mode, 
 
 
 def test_reduce_hooks_without_sizes_raise_type_error(tmp_path):
-    """The reduce passes the shuffle's ``sizes`` to merge_groups and
-    holistic_results by keyword, so an override written without that
-    argument fails with Python's TypeError, as the README says, and so does
-    one written to the older ``holistic_results(gids, values, sizes=None)``,
-    which would otherwise read the values as ids."""
-
-    class OldMerge(Aggregator):
-        name = "oldmerge"
-
-        def update_in_map(self, summary, value):
-            summary.count += 1
-            return summary
-
-        def merge_groups(self, table):
-            return super().merge_groups(table)
+    """The reduce passes the shuffle's ``sizes`` to holistic_results by
+    keyword, so an override written without that argument fails with
+    Python's TypeError, as the README says, and so does one written to the
+    older ``holistic_results(gids, values, sizes=None)``, which would
+    otherwise read the values as ids."""
 
     class OldHolistic(Distinct):
         name = "oldholistic"
@@ -500,11 +490,10 @@ def test_reduce_hooks_without_sizes_raise_type_error(tmp_path):
             return super().holistic_results(values, sizes)
 
     registry = AggregatorRegistry()
-    for agg in (OldMerge(), OldHolistic(), GidsHolistic()):
+    for agg in (OldHolistic(), GidsHolistic()):
         registry.register(agg)
     built = build_array(tmp_path, extents=(6, 6), chunks=(3, 3))
     for name, mode, hook in [
-        ("oldmerge", "optimized", r"merge_groups\(\) got an unexpected keyword argument 'sizes'"),
         ("oldholistic", "naive", r"holistic_results\(\) got an unexpected keyword argument 'sizes'"),
         ("gidsholistic", "naive", r"holistic_results\(\) missing 1 required positional argument: 'values'"),
     ]:
@@ -517,16 +506,17 @@ def test_reduce_hooks_without_sizes_raise_type_error(tmp_path):
 @pytest.mark.parametrize("element_type", ["float64", "int64"])
 @pytest.mark.parametrize("mode", ["naive", "optimized"])
 def test_builtins_never_take_the_scalar_loop(tmp_path, monkeypatch, mode, element_type):
-    """With the base class's scalar fold and merge patched to raise, every
-    built-in algebraic aggregate still runs and matches the oracle: exactly
+    """With the base class's scalar fold, merge (start and merge_into) and
+    finish patched to raise, every built-in algebraic aggregate still runs
+    and matches the oracle: exactly
     for SUM, COUNT, AVG, MIN and MAX, on quarter-integer floats (exact sums)
     and on int64 values near +-2**62, whose split sums overflow int64."""
 
     def scalar_loop(*args):
         raise AssertionError("a built-in took the scalar loop")
 
-    monkeypatch.setattr(Aggregator, "fold_groups", scalar_loop)
-    monkeypatch.setattr(Aggregator, "merge_groups", scalar_loop)
+    for hook in ("fold_groups", "start", "merge_into", "group_results"):
+        monkeypatch.setattr(Aggregator, hook, scalar_loop)
     rng = np.random.default_rng(11)
     if element_type == "int64":
         magnitude = 2**62 + rng.integers(-1000, 1000, (9, 7))
